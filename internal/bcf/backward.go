@@ -20,14 +20,14 @@ import (
 
 // backwardAnalysis walks the analysis path in reverse from the failing
 // instruction to the earliest definition the target register transitively
-// depends on, returning the path index at which symbolic tracking must
-// start (§4, Listing 4). The dependency set holds registers and — for
+// depends on (§4, Listing 4). It returns the track length: the number of
+// trailing path steps, failing instruction included, that symbolic
+// tracking must cover. It reads the path in place, newest step first, and
+// stops at that definition, so its cost is the track's length rather
+// than the path's. The dependency set holds registers and — for
 // register-sized fills through the frame pointer — stack slots.
-func backwardAnalysis(prog *ebpf.Program, path []verifier.PathStep, target ebpf.Reg) int {
-	// The last path entry is the failing instruction itself; dependencies
-	// are the values flowing into it, so scanning starts just before it.
-	end := len(path) - 1
-
+func backwardAnalysis(prog *ebpf.Program, path verifier.Path, target ebpf.Reg) int {
+	n := path.Len()
 	regs := uint16(1) << target
 	slots := map[int16]bool{}
 	need := func() bool { return regs != 0 || len(slots) > 0 }
@@ -35,13 +35,17 @@ func backwardAnalysis(prog *ebpf.Program, path []verifier.PathStep, target ebpf.
 	delReg := func(r ebpf.Reg) { regs &^= 1 << r }
 	hasReg := func(r ebpf.Reg) bool { return regs&(1<<r) != 0 }
 
-	start := 0
-	for i := end - 1; i >= 0; i-- {
-		if !need() {
-			start = i + 1
-			break
+	for pos, step := range path.Backward() {
+		// The newest step is the failing instruction itself; dependencies
+		// are the values flowing into it, so scanning starts just before.
+		if pos == n-1 {
+			continue
 		}
-		ins := prog.Insns[path[i].Idx]
+		if !need() {
+			// The step after pos defined the last dependency.
+			return n - 1 - pos
+		}
+		ins := prog.Insns[step.Idx]
 		switch ins.Class() {
 		case ebpf.ClassALU, ebpf.ClassALU64:
 			if !hasReg(ins.Dst) {
@@ -97,8 +101,6 @@ func backwardAnalysis(prog *ebpf.Program, path []verifier.PathStep, target ebpf.
 			}
 		}
 	}
-	if need() {
-		start = 0
-	}
-	return start
+	// Dependencies reach (or were last defined at) the path start.
+	return n
 }

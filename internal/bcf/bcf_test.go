@@ -8,21 +8,19 @@ import (
 	"bcf/internal/verifier"
 )
 
-// mkPath builds a straight-line path over the given instruction indexes.
-func mkPath(idxs ...int) []verifier.PathStep {
-	out := make([]verifier.PathStep, len(idxs))
-	for i, idx := range idxs {
-		out[i] = verifier.PathStep{Idx: idx}
+// linearPath is the straight-line path over instructions 0..n-1.
+func linearPath(n int) verifier.Path {
+	steps := make([]verifier.PathStep, n)
+	for i := range steps {
+		steps[i] = verifier.PathStep{Idx: i}
 	}
-	return out
+	return verifier.NewPath(steps...)
 }
 
-func linearPath(n int) []verifier.PathStep {
-	idxs := make([]int, n)
-	for i := range idxs {
-		idxs[i] = i
-	}
-	return mkPath(idxs...)
+// trackStart converts backwardAnalysis's track length into the path
+// position where tracking starts.
+func trackStart(p *ebpf.Program, path verifier.Path, target ebpf.Reg) int {
+	return path.Len() - backwardAnalysis(p, path, target)
 }
 
 func TestBackwardAnalysisListing4(t *testing.T) {
@@ -41,8 +39,7 @@ func TestBackwardAnalysisListing4(t *testing.T) {
 		r0 = *(u8 *)(r1 +0) ; 9: failing access
 		exit
 	`)}
-	path := linearPath(10)
-	start := backwardAnalysis(p, path, ebpf.R1)
+	start := trackStart(p, linearPath(10), ebpf.R1)
 	// Chain: r1 needs def (insn 5) and r3 (insn 7) which needs r2
 	// (insn 2). Earliest definition: insn 2.
 	if start != 2 {
@@ -59,7 +56,7 @@ func TestBackwardAnalysisCallBoundary(t *testing.T) {
 		r0 = *(u8 *)(r1 +0) ; 4
 		exit
 	`)}
-	start := backwardAnalysis(p, linearPath(5), ebpf.R1)
+	start := trackStart(p, linearPath(5), ebpf.R1)
 	if start != 0 {
 		t.Fatalf("start = %d, want 0 (r6 defined at insn 0)", start)
 	}
@@ -75,7 +72,7 @@ func TestBackwardAnalysisSpillChain(t *testing.T) {
 		r0 = *(u8 *)(r1 +0)      ; 5
 		exit
 	`)}
-	start := backwardAnalysis(p, linearPath(6), ebpf.R1)
+	start := trackStart(p, linearPath(6), ebpf.R1)
 	if start != 1 {
 		t.Fatalf("start = %d, want 1 (spilled value defined at insn 1)", start)
 	}
@@ -88,7 +85,7 @@ func TestBackwardAnalysisImmediateDef(t *testing.T) {
 		r0 = *(u8 *)(r1 +0) ; 2
 		exit
 	`)}
-	start := backwardAnalysis(p, linearPath(3), ebpf.R1)
+	start := trackStart(p, linearPath(3), ebpf.R1)
 	if start != 1 {
 		t.Fatalf("start = %d, want 1", start)
 	}
@@ -112,7 +109,7 @@ func track(t *testing.T, src string, taken map[int]bool) *tracker {
 		path = append(path, verifier.PathStep{Idx: i, Taken: taken[i]})
 	}
 	tk := newTracker(p)
-	if err := tk.run(path, 0); err != nil {
+	if err := tk.run(path); err != nil {
 		t.Fatal(err)
 	}
 	return tk

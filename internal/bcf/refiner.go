@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"bcf/internal/bcferr"
 	"bcf/internal/bcfenc"
+	"bcf/internal/bcferr"
 	"bcf/internal/expr"
 	"bcf/internal/obs"
 	"bcf/internal/proof"
@@ -104,7 +104,8 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 	if r.Service == nil {
 		return nil, fmt.Errorf("bcf: no proof service configured")
 	}
-	if len(req.Path) == 0 {
+	n := req.Path.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("bcf: empty analysis path")
 	}
 
@@ -114,15 +115,17 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 	}
 	tsp := r.Trace.Start(obs.CatRefine, "track")
 
-	// 1. Backward analysis pinpoints the suffix start.
-	start := 0
+	// 1. Backward analysis pinpoints the suffix; only that suffix is
+	// copied out of the verifier's path.
+	trackLen := n
 	if !r.DisableBackward {
-		start = backwardAnalysis(req.Prog, req.Path, req.Reg)
+		trackLen = backwardAnalysis(req.Prog, req.Path, req.Reg)
 	}
+	start := n - trackLen
 
 	// 2. Symbolic tracking re-executes the suffix.
 	tk := newTracker(req.Prog)
-	err := tk.run(req.Path, start)
+	err := tk.run(req.Path.Suffix(trackLen))
 	tsp.End()
 	if r.Obs != nil {
 		r.Obs.StageHistogram(obs.MTrackSeconds).Since(trackStart)
@@ -217,7 +220,7 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, req *verifier.RefineReq
 	}
 	rs := RequestStats{
 		TrackLen:     tk.steps,
-		BackwardLen:  len(req.Path) - 1 - start,
+		BackwardLen:  req.Path.Len() - 1 - start,
 		CondBytes:    len(condBytes),
 		UserDuration: userDur,
 	}

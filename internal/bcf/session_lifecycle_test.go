@@ -39,7 +39,16 @@ func TestSessionWatchdogReclaimsAbandonedSession(t *testing.T) {
 		t.Fatal("expected a pending condition")
 	}
 	// Abandon the session: no Resume, no Abort. The watchdog must
-	// terminate the pump goroutine on its own.
+	// terminate the pump goroutine on its own. Wait for its verdict
+	// first: a goroutine of an earlier test that exits meanwhile could
+	// bring the count back to base before the watchdog has fired.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sess.doneCh) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the watchdog never concluded the session")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	waitBaseline(t, base)
 	// A straggling Resume after the watchdog fired must not deadlock and
 	// must report the watchdog verdict.

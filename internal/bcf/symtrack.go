@@ -87,12 +87,11 @@ func low32(e *expr.Expr) *expr.Expr { return fold(expr.Extract(e, 0, 32)) }
 // zext64 zero-extends back to 64 bits.
 func zext64(e *expr.Expr) *expr.Expr { return fold(expr.ZExt(e, 64)) }
 
-// run symbolically executes path[start:len-1] (the failing instruction
-// itself has not executed). It returns an error for suffixes the tracker
-// cannot follow.
-func (tk *tracker) run(path []verifier.PathStep, start int) error {
-	for i := start; i < len(path)-1; i++ {
-		step := path[i]
+// run symbolically executes every step of the path suffix but the last
+// (the failing instruction itself has not executed). It returns an error
+// for suffixes the tracker cannot follow.
+func (tk *tracker) run(suffix []verifier.PathStep) error {
+	for _, step := range suffix[:len(suffix)-1] {
 		ins := tk.prog.Insns[step.Idx]
 		tk.steps++
 		if err := tk.exec(ins, step.Taken); err != nil {

@@ -304,8 +304,8 @@ func TestFleetByzantineBackendFailsOver(t *testing.T) {
 // corruptBackend flips proof bytes from one backend (byzantine prover).
 type corruptBackend struct{ backend string }
 
-func (c corruptBackend) FleetDispatch(string, int) error        { return nil }
-func (c corruptBackend) FleetDelay(string, int) time.Duration   { return 0 }
+func (c corruptBackend) FleetDispatch(string, int) error      { return nil }
+func (c corruptBackend) FleetDelay(string, int) time.Duration { return 0 }
 func (c corruptBackend) FleetProof(b string, _ int, p []byte) []byte {
 	if b != c.backend || len(p) == 0 {
 		return p
@@ -426,7 +426,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("trickle bound ignored")
 	}
 	b.Success()
-	if !b.Allow(now.Add(2*time.Second)) {
+	if !b.Allow(now.Add(2 * time.Second)) {
 		t.Fatal("slot not returned after success")
 	}
 	b.Success()

@@ -39,9 +39,8 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 		takenNull := op == ebpf.JmpJEQ
 		markPtrOrNull(other, dst.ID, takenNull)
 		markPtrOrNull(st, dst.ID, !takenNull)
-		push(branchItem{st: other, pc: target,
-			node: &pathNode{parent: node.parent, idx: int32(pc), taken: true, entry: node.entry}, obs: obsTok})
-		node.taken = false
+		push(branchItem{st: other, pc: target, node: node.takenTwin(), obs: obsTok})
+		node.setTaken(false)
 		return pc + 1, nil
 	}
 
@@ -49,10 +48,10 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 	if dst.Type.IsPtr() && dst.Type != PtrToMapValueOrNull && srcReg == nil && ins.Imm == 0 &&
 		(op == ebpf.JmpJEQ || op == ebpf.JmpJNE) {
 		if op == ebpf.JmpJNE { // always taken
-			node.taken = true
+			node.setTaken(true)
 			return target, nil
 		}
-		node.taken = false // JEQ 0 never taken
+		node.setTaken(false) // JEQ 0 never taken
 		return pc + 1, nil
 	}
 
@@ -69,9 +68,8 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 			if !is32 {
 				learnPktRange(st, other, dst, srcReg, op)
 			}
-			push(branchItem{st: other, pc: target,
-				node: &pathNode{parent: node.parent, idx: int32(pc), taken: true, entry: node.entry}, obs: obsTok})
-			node.taken = false
+			push(branchItem{st: other, pc: target, node: node.takenTwin(), obs: obsTok})
+			node.setTaken(false)
 			return pc + 1, nil
 		}
 		return 0, &Error{InsnIdx: pc, Kind: CheckOther,
@@ -81,10 +79,10 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 	// Scalar comparison: try to resolve statically.
 	switch isBranchTaken(dst, src, op, is32) {
 	case branchAlways:
-		node.taken = true
+		node.setTaken(true)
 		return target, nil
 	case branchNever:
-		node.taken = false
+		node.setTaken(false)
 		return pc + 1, nil
 	}
 
@@ -108,9 +106,8 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 	if srcReg != nil {
 		syncLinked(st, fSrc.ID, fSrc)
 	}
-	push(branchItem{st: other, pc: target,
-		node: &pathNode{parent: node.parent, idx: int32(pc), taken: true, entry: node.entry}, obs: obsTok})
-	node.taken = false
+	push(branchItem{st: other, pc: target, node: node.takenTwin(), obs: obsTok})
+	node.setTaken(false)
 	return pc + 1, nil
 }
 

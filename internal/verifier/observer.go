@@ -16,8 +16,9 @@ import "bcf/internal/tnum"
 // step of any path forked at a conditional jump. Observers therefore see
 // the full analysis tree, with branch forks sharing their prefix.
 //
-// The *VState is live verifier state: observers must copy what they keep
-// and must not mutate it.
+// The *VState is live verifier state, valid only during the call (it is
+// recycled once its path ends): observers must copy what they keep and
+// must not mutate it.
 //
 // Concurrency: with Config.ParallelPaths > 1, sibling paths are walked by
 // different goroutines, so Step is called concurrently — possibly with

@@ -240,6 +240,7 @@ func (v *Verifier) pathWorker(f *frontier, w int) {
 			// The sequential DFS would have stopped on an earlier error
 			// before popping this item: drop it unexplored (it forked no
 			// children, so retiring it closes its subtree).
+			releaseState(item.st)
 			orderFinish(item.order)
 			f.done()
 			continue

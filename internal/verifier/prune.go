@@ -105,6 +105,19 @@ func (v *Verifier) pruned(pc int, st *VState, order *pathOrder) (bool, *atomic.B
 	return false, dead
 }
 
+// releaseExplored returns the pruning table's states to the pool. Verify
+// calls it after every walk has finished — all workers joined — when
+// nothing can read the table any more.
+func (v *Verifier) releaseExplored() {
+	for i := range v.explored {
+		sh := &v.explored[i]
+		for _, e := range sh.entries {
+			releaseState(e.st)
+		}
+		sh.entries = nil
+	}
+}
+
 // idMap tracks the correspondence of register identities between an old
 // (explored) and a new state, so that linkage assumptions in the old
 // state are only relied on when the new state has them too.

@@ -11,6 +11,7 @@ package verifier
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"bcf/internal/ebpf"
 	"bcf/internal/tnum"
@@ -373,24 +374,36 @@ type VState struct {
 	PktRange uint32
 }
 
-// clone deep-copies the state (arrays copy by value).
+// statePool recycles VStates: a path's state when its walk returns, and
+// the pruning table's recorded states when Verify returns.
+var statePool = sync.Pool{New: func() any { return new(VState) }}
+
+// releaseState returns s to the pool; the caller must hold the only
+// reference.
+func releaseState(s *VState) { statePool.Put(s) }
+
+// clone deep-copies the state (arrays copy by value) into a recycled
+// VState.
 //
 // Memory-safety contract for parallel path exploration: VState holds
 // only fixed-size arrays of plain-value structs — no slices, maps or
 // pointers — so the value copy is a complete deep copy and a cloned
-// state shares nothing mutable with its origin. Branch forks and
-// explored-table recordings rely on this to hand states across worker
-// goroutines without further synchronization; any field added to
-// RegState or StackSlot must preserve it (or extend clone to copy the
-// referent).
+// state shares nothing mutable with its origin. The copy overwrites the
+// whole recycled value, so nothing of its previous use survives. Branch
+// forks and explored-table recordings rely on this to hand states
+// across worker goroutines without further synchronization; any field
+// added to RegState or StackSlot must preserve it (or extend clone to
+// copy the referent).
 func (s *VState) clone() *VState {
-	c := *s
-	return &c
+	c := statePool.Get().(*VState)
+	*c = *s
+	return c
 }
 
 // entryState is the verifier state at program entry.
 func entryState() *VState {
-	s := &VState{}
+	s := statePool.Get().(*VState)
+	*s = VState{}
 	s.Regs[ebpf.R1] = RegState{Type: PtrToCtx}
 	s.Regs[ebpf.R1].zeroVar()
 	s.Regs[ebpf.R10] = RegState{Type: PtrToStack}

@@ -74,7 +74,7 @@ func (r *anchorRefiner) Refine(req *RefineRequest) (*RefineResult, error) {
 	if r.calls > 1 {
 		return nil, fmt.Errorf("no more proofs")
 	}
-	return &RefineResult{Pruned: true, TrackStart: r.anchor(len(req.Path))}, nil
+	return &RefineResult{Pruned: true, TrackStart: r.anchor(req.Path.Len())}, nil
 }
 
 // refinePruneProg forks two histories at a `goto +0` no-op branch that

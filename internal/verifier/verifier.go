@@ -2,6 +2,7 @@ package verifier
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -72,36 +73,105 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Cause }
 
 // pathNode is one step of the immutable per-path history. Each analyzed
-// instruction appends a node; branch pushes share the prefix. BCF
-// reconstructs the analysis path by walking parents.
+// instruction appends a node; branch pushes share the prefix. BCF reads
+// the analysis path by walking parents (see Path).
 type pathNode struct {
 	parent *pathNode
-	idx    int32
-	taken  bool // meaningful for conditional jumps
 	// entry points at the liveness flag of the pruning-table entry
 	// recorded just before this instruction was analyzed (nil when none
 	// was). A later path-conditional refinement retracts the entries
 	// inside its track by setting the flags (see retractEntries).
 	entry *atomic.Bool
+	// depth is the node's 1-based position on its path, so Path.Len is
+	// O(1).
+	depth int32
+	// insn holds the instruction index shifted left by one, with bit 0
+	// set when a conditional jump was taken. Sharing the word keeps a
+	// node, allocated once per analyzed instruction, at 24 bytes.
+	insn uint32
 }
 
-// PathStep is one element of the reconstructed analysis path handed to
-// the Refiner (oldest first).
+// appendStep extends the path ending at parent (nil: the empty path) by
+// the instruction at pc.
+func appendStep(parent *pathNode, pc int, entry *atomic.Bool) *pathNode {
+	depth := int32(1)
+	if parent != nil {
+		depth = parent.depth + 1
+	}
+	return &pathNode{parent: parent, entry: entry, depth: depth, insn: uint32(pc) << 1}
+}
+
+// step returns the node's instruction index and branch direction.
+func (n *pathNode) step() PathStep {
+	return PathStep{Idx: int(n.insn >> 1), Taken: n.insn&1 != 0}
+}
+
+// setTaken records the direction of the node's conditional jump.
+func (n *pathNode) setTaken(taken bool) {
+	n.insn &^= 1
+	if taken {
+		n.insn |= 1
+	}
+}
+
+// takenTwin returns the node of a conditional jump's taken side: the
+// same instruction, parent, position and pruning entry as n.
+func (n *pathNode) takenTwin() *pathNode {
+	return &pathNode{parent: n.parent, entry: n.entry, depth: n.depth, insn: n.insn | 1}
+}
+
+// PathStep is one element of the analysis path handed to the Refiner.
 type PathStep struct {
 	Idx   int
 	Taken bool
 }
 
-// reconstructPath materializes the node chain, oldest first.
-func reconstructPath(n *pathNode) []PathStep {
-	count := 0
-	for p := n; p != nil; p = p.parent {
-		count++
+// Path is the analysis path that reached a failed check: the analyzed
+// instructions from program entry, oldest first, with the direction of
+// every conditional jump. It is a read-only view over the verifier's
+// immutable path history, so handing it to the Refiner copies nothing;
+// it is valid only during the Refine call that received it.
+type Path struct {
+	tail *pathNode
+}
+
+// NewPath builds a standalone path from steps, oldest first.
+func NewPath(steps ...PathStep) Path {
+	var n *pathNode
+	for _, s := range steps {
+		n = appendStep(n, s.Idx, nil)
+		n.setTaken(s.Taken)
 	}
-	out := make([]PathStep, count)
-	for p := n; p != nil; p = p.parent {
-		count--
-		out[count] = PathStep{Idx: int(p.idx), Taken: p.taken}
+	return Path{tail: n}
+}
+
+// Len returns the number of steps.
+func (p Path) Len() int {
+	if p.tail == nil {
+		return 0
+	}
+	return int(p.tail.depth)
+}
+
+// Backward yields each step with its position, newest first.
+func (p Path) Backward() iter.Seq2[int, PathStep] {
+	return func(yield func(int, PathStep) bool) {
+		for n := p.tail; n != nil; n = n.parent {
+			if !yield(int(n.depth)-1, n.step()) {
+				return
+			}
+		}
+	}
+}
+
+// Suffix copies the last k steps, oldest first; k is clamped to Len.
+func (p Path) Suffix(k int) []PathStep {
+	k = min(max(k, 0), p.Len())
+	out := make([]PathStep, k)
+	n := p.tail
+	for i := k - 1; i >= 0; i-- {
+		out[i] = n.step()
+		n = n.parent
 	}
 	return out
 }
@@ -110,10 +180,13 @@ func reconstructPath(n *pathNode) []PathStep {
 // WantHi give the unsigned range the target value (the scalar register's
 // value, or the variable part of a pointer register's offset) must be
 // proven to lie in for the check to pass.
+//
+// State and Path are the walking path's live data: the Refiner may read
+// them only during the Refine call and must not retain either.
 type RefineRequest struct {
 	Prog    *ebpf.Program
 	State   *VState
-	Path    []PathStep
+	Path    Path
 	InsnIdx int
 	Reg     ebpf.Reg
 	Kind    CheckKind
@@ -125,7 +198,7 @@ type RefineRequest struct {
 // refiner instead proved the current path's constraints unsatisfiable:
 // the verifier abandons the (infeasible) path rather than refining.
 //
-// TrackStart is the index into RefineRequest.Path of the first
+// TrackStart is the position in RefineRequest.Path of the first
 // instruction the proof's symbolic track covers. The proof is valid for
 // any execution that traverses Path[TrackStart:] — its variables are
 // fresh at the anchor — but says nothing about executions that reach a
@@ -319,10 +392,9 @@ func (v *Verifier) Log() []string {
 	return v.log
 }
 
+// logf appends a line to the verifier log. Callers check Config.Debug
+// first, so a run without Debug evaluates and boxes no log arguments.
 func (v *Verifier) logf(format string, args ...any) {
-	if !v.cfg.Debug {
-		return
-	}
 	line := fmt.Sprintf(format, args...)
 	v.logMu.Lock()
 	v.log = append(v.log, line)
@@ -369,6 +441,7 @@ func (v *Verifier) Verify() error {
 	sp := v.cfg.Trace.Start(obs.CatVerifier, "verify")
 	err := v.verify()
 	sp.End()
+	v.releaseExplored()
 	if r := v.cfg.Obs; r != nil {
 		st := v.Stats()
 		r.StageHistogram(obs.MVerifySeconds).Since(t0)
@@ -418,9 +491,11 @@ func (v *Verifier) verify() error {
 // walk analyzes one path until exit, prune or error, handing the untaken
 // sides of branches to push. Each pushed child is stamped with a
 // pathOrder extending this walk's, so results stay in sequential DFS
-// order however the frontier schedules them.
+// order however the frontier schedules them. The path's state goes back
+// to the pool when walk returns: forks and pruning entries hold clones.
 func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 	st, pc, node, obsTok := item.st, item.pc, item.node, item.obs
+	defer releaseState(st)
 	par := v.cfg.ParallelPaths > 1
 	childSeq := int32(0)
 	fork := func(it branchItem) {
@@ -466,13 +541,17 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 			hit, entryDead = v.pruned(pc, st, item.order)
 			if hit {
 				v.statesPruned.Add(1)
-				v.logf("%d: pruned", pc)
+				if v.cfg.Debug {
+					v.logf("%d: pruned", pc)
+				}
 				v.cfg.Trace.Instant(obs.CatVerifier, "prune", nil)
 				return nil
 			}
 		}
-		v.logf("%d: %s", pc, ins.String())
-		node = &pathNode{parent: node, idx: int32(pc), entry: entryDead}
+		if v.cfg.Debug {
+			v.logf("%d: %s", pc, ins.String())
+		}
+		node = appendStep(node, pc, entryDead)
 		if v.cfg.Observer != nil {
 			obsTok = v.cfg.Observer.Step(obsTok, pc, st)
 		}
@@ -516,7 +595,9 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 				if err := v.checkExit(st, pc, node); err != nil {
 					return pathDone(err)
 				}
-				v.logf("%d: exit, path ok", pc)
+				if v.cfg.Debug {
+					v.logf("%d: exit, path ok", pc)
+				}
 				return nil
 			case ebpf.JmpJA:
 				if ins.Class() == ebpf.ClassJMP32 {
@@ -791,7 +872,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 	req := &RefineRequest{
 		Prog:    v.prog,
 		State:   st,
-		Path:    reconstructPath(node),
+		Path:    Path{tail: node},
 		InsnIdx: pc,
 		Reg:     regno,
 		Kind:    kind,
@@ -804,10 +885,12 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		// track: this path's earlier "explored without error" claims no
 		// longer transfer to states that arrive mid-track by a different
 		// route. Retract those pruning entries before using the result.
-		retractEntries(node, len(req.Path), res.TrackStart)
+		retractEntries(node, req.Path.Len(), res.TrackStart)
 	}
 	if err != nil {
-		v.logf("%d: refinement failed: %v", pc, err)
+		if v.cfg.Debug {
+			v.logf("%d: refinement failed: %v", pc, err)
+		}
 		// Surface the refinement failure as the cause of the original
 		// safety error: the rejection reason stays the failed check, but
 		// the class of the failure (proof rejected, timeout, protocol)
@@ -819,7 +902,9 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 	}
 	if res.Pruned {
 		v.refinements.Add(1)
-		v.logf("%d: path proven infeasible, pruned", pc)
+		if v.cfg.Debug {
+			v.logf("%d: path proven infeasible, pruned", pc)
+		}
 		return errInfeasiblePath
 	}
 	reg := &st.Regs[regno]
@@ -830,6 +915,8 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		return orig
 	}
 	v.refinements.Add(1)
-	v.logf("%d: refined R%d to [%d, %d]", pc, regno, res.Lo, res.Hi)
+	if v.cfg.Debug {
+		v.logf("%d: refined R%d to [%d, %d]", pc, regno, res.Lo, res.Hi)
+	}
 	return nil
 }
