@@ -37,19 +37,29 @@ const (
 
 // ---- u32 stream helpers ----
 
+// headerBytes is the size of both message headers: magic, version and
+// two length/root words.
+const headerBytes = 16
+
 type writer struct {
 	buf []byte
 }
 
 func (w *writer) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf = append(w.buf, b[:]...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
 func (w *writer) u64(v uint64) {
 	w.u32(uint32(v))
 	w.u32(uint32(v >> 32))
+}
+
+// header fills the four header words reserved at the start of buf.
+func header(buf []byte, magic, version, a, b uint32) {
+	binary.LittleEndian.PutUint32(buf[0:], magic)
+	binary.LittleEndian.PutUint32(buf[4:], version)
+	binary.LittleEndian.PutUint32(buf[8:], a)
+	binary.LittleEndian.PutUint32(buf[12:], b)
 }
 
 type reader struct {
@@ -66,35 +76,46 @@ func (r *reader) u32() (uint32, error) {
 	return v, nil
 }
 
-func (r *reader) u64() (uint64, error) {
-	lo, err := r.u32()
-	if err != nil {
-		return 0, err
+// pool consumes n words and returns a reader over them, decoding in
+// place from the message bytes.
+func (r *reader) pool(n int) (poolReader, error) {
+	if n > (len(r.buf)-r.off)/4 {
+		return poolReader{}, fmt.Errorf("bcfenc: truncated message")
 	}
-	hi, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	return uint64(lo) | uint64(hi)<<32, nil
+	b := r.buf[r.off : r.off+4*n]
+	r.off += 4 * n
+	return poolReader{buf: b, nodes: make([]*expr.Expr, n)}, nil
 }
 
 // ---- expression pool ----
 
-// pool encodes expressions with structural deduplication.
+// pool encodes expressions with structural deduplication. The pool's
+// words follow a reserved message header in w.
 type pool struct {
-	w     writer
-	index map[uint64][]poolEntry // structural hash -> entries
-	count int
+	w       writer
+	heads   map[uint64]int32 // structural hash -> 1 + index of its newest entry
+	entries []poolEntry
 }
 
 type poolEntry struct {
 	node *expr.Expr
 	off  uint32 // word offset of the node header within the pool
+	next int32  // 1 + index of the previous entry with the same hash; 0 ends the chain
 }
 
-func newPool() *pool {
-	return &pool{index: map[uint64][]poolEntry{}}
+// newPool returns a pool whose buffer starts with a zeroed message
+// header, with room for about nodes nodes.
+func newPool(nodes int) *pool {
+	return &pool{
+		// No node takes more than three words.
+		w:       writer{buf: make([]byte, headerBytes, headerBytes+12*nodes)},
+		heads:   make(map[uint64]int32, nodes),
+		entries: make([]poolEntry, 0, nodes),
+	}
 }
+
+// words returns the pool's length in words.
+func (p *pool) words() uint32 { return uint32((len(p.w.buf) - headerBytes) / 4) }
 
 // nodeHeader packs op, width, aux and arg count into one word.
 func nodeHeader(e *expr.Expr) uint32 {
@@ -104,17 +125,19 @@ func nodeHeader(e *expr.Expr) uint32 {
 // put encodes a node (and transitively its children), returning its word
 // offset within the pool.
 func (p *pool) put(e *expr.Expr) uint32 {
-	for _, ent := range p.index[e.Hash()] {
-		if expr.Equal(ent.node, e) {
+	h := e.Hash()
+	for i := p.heads[h]; i != 0; i = p.entries[i-1].next {
+		if ent := &p.entries[i-1]; expr.Equal(ent.node, e) {
 			return ent.off
 		}
 	}
 	// Children first so references always point backward.
-	argOffs := make([]uint32, len(e.Args))
-	for i, a := range e.Args {
-		argOffs[i] = p.put(a)
+	var offBuf [2]uint32
+	argOffs := offBuf[:0]
+	for _, a := range e.Args {
+		argOffs = append(argOffs, p.put(a))
 	}
-	off := uint32(len(p.w.buf) / 4)
+	off := p.words()
 	p.w.u32(nodeHeader(e))
 	switch e.Op {
 	case expr.OpConst:
@@ -125,31 +148,33 @@ func (p *pool) put(e *expr.Expr) uint32 {
 	for _, ao := range argOffs {
 		p.w.u32(ao)
 	}
-	p.index[e.Hash()] = append(p.index[e.Hash()], poolEntry{node: e, off: off})
-	p.count++
+	p.entries = append(p.entries, poolEntry{node: e, off: off, next: p.heads[h]})
+	p.heads[h] = int32(len(p.entries))
 	return off
 }
 
 // poolReader decodes an expression pool.
 type poolReader struct {
-	words []uint32
-	nodes map[uint32]*expr.Expr // word offset -> decoded node
+	buf   []byte       // the pool's words, little-endian
+	nodes []*expr.Expr // word offset -> decoded node
 }
 
-func newPoolReader(words []uint32) *poolReader {
-	return &poolReader{words: words, nodes: map[uint32]*expr.Expr{}}
+func (pr *poolReader) word(i uint32) uint32 {
+	return binary.LittleEndian.Uint32(pr.buf[4*i:])
 }
 
 // node decodes the node at the given word offset, with cycle and bounds
-// protection (references must point strictly backward).
+// protection (references must point strictly backward). Each node is
+// built once, through the expr constructors, and validated there.
 func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
-	if e, ok := pr.nodes[off]; ok {
-		return e, nil
-	}
-	if int(off) >= len(pr.words) {
+	n := uint32(len(pr.nodes))
+	if off >= n {
 		return nil, fmt.Errorf("bcfenc: node offset %d out of range", off)
 	}
-	h := pr.words[off]
+	if e := pr.nodes[off]; e != nil {
+		return e, nil
+	}
+	h := pr.word(off)
 	op := expr.Op(h & 0xff)
 	width := uint8(h >> 8)
 	aux := uint8(h >> 16)
@@ -161,24 +186,25 @@ func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
 	var k uint64
 	switch op {
 	case expr.OpConst:
-		if int(cur)+2 > len(pr.words) {
+		if cur+2 > n {
 			return nil, fmt.Errorf("bcfenc: truncated const")
 		}
-		k = uint64(pr.words[cur]) | uint64(pr.words[cur+1])<<32
+		k = uint64(pr.word(cur)) | uint64(pr.word(cur+1))<<32
 		cur += 2
 	case expr.OpVar:
-		if int(cur)+1 > len(pr.words) {
+		if cur+1 > n {
 			return nil, fmt.Errorf("bcfenc: truncated var")
 		}
-		k = uint64(pr.words[cur])
+		k = uint64(pr.word(cur))
 		cur++
 	}
-	args := make([]*expr.Expr, 0, nargs)
-	for i := 0; i < nargs; i++ {
-		if int(cur) >= len(pr.words) {
+	var argBuf [maxNodeArgs]*expr.Expr
+	args := argBuf[:nargs]
+	for i := range args {
+		if cur >= n {
 			return nil, fmt.Errorf("bcfenc: truncated args")
 		}
-		ref := pr.words[cur]
+		ref := pr.word(cur)
 		cur++
 		if ref >= off {
 			return nil, fmt.Errorf("bcfenc: forward/self node reference")
@@ -187,28 +213,24 @@ func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, child)
+		args[i] = child
 	}
-	e := &expr.Expr{Op: op, Width: width, Aux: aux, K: k, Args: args}
-	rebuilt := rebuild(e)
-	if err := rebuilt.CheckWellFormed(); err != nil {
+	// A const or var header that carries operands still decodes as the
+	// bare leaf, as it always has; its operands were validated above.
+	var e *expr.Expr
+	switch op {
+	case expr.OpConst:
+		e = expr.Const(k, width)
+	case expr.OpVar:
+		e = expr.Var(uint32(k), width)
+	default:
+		e = expr.Rebuild(op, width, aux, 0, args)
+	}
+	if err := e.CheckWellFormed(); err != nil {
 		return nil, fmt.Errorf("bcfenc: node at %d: %w", off, err)
 	}
-	pr.nodes[off] = rebuilt
-	return rebuilt, nil
-}
-
-// rebuild reconstructs the node through the expr constructors so internal
-// hashes are populated.
-func rebuild(e *expr.Expr) *expr.Expr {
-	switch e.Op {
-	case expr.OpConst:
-		return expr.Const(e.K, e.Width)
-	case expr.OpVar:
-		return expr.Var(uint32(e.K), e.Width)
-	}
-	// Generic reconstruction preserving op/width/aux.
-	return expr.Rebuild(e.Op, e.Width, e.Aux, e.K, e.Args)
+	pr.nodes[off] = e
+	return e, nil
 }
 
 // ---- condition messages ----
@@ -227,15 +249,12 @@ func EncodeCondition(c *Condition) ([]byte, error) {
 	if err := c.Cond.CheckWellFormed(); err != nil {
 		return nil, err
 	}
-	p := newPool()
+	// The tree size bounds the node count; the cap keeps a heavily
+	// shared condition from reserving room for its unfolded tree.
+	p := newPool(min(c.Cond.SizeBound(), 64))
 	root := p.put(c.Cond)
-	var w writer
-	w.u32(MagicCondition)
-	w.u32(Version)
-	w.u32(uint32(len(p.w.buf) / 4)) // pool length in words
-	w.u32(root)
-	w.buf = append(w.buf, p.w.buf...)
-	return w.buf, nil
+	header(p.w.buf, MagicCondition, Version, p.words(), root)
+	return p.w.buf, nil
 }
 
 // DecodeCondition parses a condition message.
@@ -266,11 +285,13 @@ func DecodeCondition(buf []byte) (*Condition, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, err := readWords(r, int(poolLen))
+	pr, err := r.pool(int(poolLen))
 	if err != nil {
 		return nil, err
 	}
-	pr := newPoolReader(words)
+	if r.off != len(r.buf) {
+		return nil, fmt.Errorf("bcfenc: trailing bytes")
+	}
 	cond, err := pr.node(root)
 	if err != nil {
 		return nil, err
@@ -279,21 +300,6 @@ func DecodeCondition(buf []byte) (*Condition, error) {
 		return nil, fmt.Errorf("bcfenc: condition root is not boolean")
 	}
 	return &Condition{Cond: cond}, nil
-}
-
-func readWords(r *reader, n int) ([]uint32, error) {
-	words := make([]uint32, n)
-	for i := range words {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		words[i] = v
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("bcfenc: trailing bytes")
-	}
-	return words, nil
 }
 
 // ---- proof messages ----
@@ -306,62 +312,65 @@ const (
 
 // EncodeProof serializes a proof.
 func EncodeProof(p *proof.Proof) ([]byte, error) {
-	pool := newPool()
-	type encStep struct {
-		head    uint32
-		prems   []uint32
-		argOffs []uint32
-		extra   uint32
-	}
-	steps := make([]encStep, 0, len(p.Steps))
+	pool := newPool(0)
+	var steps writer
 	for i := range p.Steps {
 		s := &p.Steps[i]
 		if len(s.Premises) > 255 || len(s.Args) > 15 {
 			return nil, fmt.Errorf("bcfenc: step %d too wide", i)
 		}
-		es := encStep{
-			prems: s.Premises,
-		}
-		for _, a := range s.Args {
+		var offBuf [15]uint32
+		argOffs := offBuf[:len(s.Args)]
+		for j, a := range s.Args {
 			if a == nil {
 				return nil, fmt.Errorf("bcfenc: step %d: nil arg", i)
 			}
-			es.argOffs = append(es.argOffs, pool.put(a))
+			argOffs[j] = pool.put(a)
 		}
-		extras := uint32(0)
+		extras, extra := uint32(0), uint32(0)
 		switch s.Rule {
 		case proof.RuleResolve:
-			extras = stepExtraPivot
-			es.extra = uint32(s.Pivot)
+			extras, extra = stepExtraPivot, uint32(s.Pivot)
 		case proof.RuleBitblastClause:
-			extras = stepExtraClause
-			es.extra = uint32(s.ClauseIdx)
+			extras, extra = stepExtraClause, uint32(s.ClauseIdx)
 		}
-		es.head = uint32(s.Rule) | uint32(len(s.Premises))<<16 | uint32(len(s.Args))<<24 | extras<<28
-		steps = append(steps, es)
-	}
-	var w writer
-	w.u32(MagicProof)
-	w.u32(Version)
-	w.u32(uint32(len(pool.w.buf) / 4))
-	w.u32(uint32(len(steps)))
-	w.buf = append(w.buf, pool.w.buf...)
-	for _, es := range steps {
-		w.u32(es.head)
-		for _, pm := range es.prems {
-			w.u32(pm)
+		steps.u32(uint32(s.Rule) | uint32(len(s.Premises))<<16 | uint32(len(s.Args))<<24 | extras<<28)
+		for _, pm := range s.Premises {
+			steps.u32(pm)
 		}
-		for _, ao := range es.argOffs {
-			w.u32(ao)
+		for _, ao := range argOffs {
+			steps.u32(ao)
 		}
-		if es.head>>28 != 0 {
-			w.u32(es.extra)
+		if extras != 0 {
+			steps.u32(extra)
 		}
 	}
-	return w.buf, nil
+	buf := append(pool.w.buf, steps.buf...)
+	header(buf, MagicProof, Version, pool.words(), uint32(len(p.Steps)))
+	return buf, nil
 }
 
-// DecodeProof parses a proof message.
+// scanSteps walks up to n step headers in b without decoding them. It
+// returns how many headers it could read and the premise and argument
+// words they declare, so DecodeProof sizes its slabs exactly. Every
+// count is bounded by len(b), whatever the message claims.
+func scanSteps(b []byte, n uint32) (steps, prems, args int) {
+	for off := 0; uint32(steps) < n && off+4 <= len(b); steps++ {
+		head := binary.LittleEndian.Uint32(b[off:])
+		np, na := int(head>>16&0xff), int(head>>24&0xf)
+		prems += np
+		args += na
+		off += 4 * (1 + np + na)
+		if head>>28 != 0 {
+			off += 4
+		}
+	}
+	return steps, prems, args
+}
+
+// DecodeProof parses a proof message. Step premises and arguments are
+// carved out of one slab each, capped so that appending to a step's
+// slice never reaches into the next step's.
 func DecodeProof(buf []byte) (*proof.Proof, error) {
 	r := &reader{buf: buf}
 	magic, err := r.u32()
@@ -389,43 +398,43 @@ func DecodeProof(buf []byte) (*proof.Proof, error) {
 	if poolLen > maxPoolWords || nSteps > maxSteps {
 		return nil, fmt.Errorf("bcfenc: message too large")
 	}
-	words := make([]uint32, poolLen)
-	for i := range words {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		words[i] = v
+	pr, err := r.pool(int(poolLen))
+	if err != nil {
+		return nil, err
 	}
-	pr := newPoolReader(words)
-	out := &proof.Proof{Steps: make([]proof.Step, 0, nSteps)}
+	nHeads, nPrems, nArgs := scanSteps(r.buf[r.off:], nSteps)
+	steps := make([]proof.Step, nHeads)
+	premSlab := make([]uint32, nPrems)
+	argSlab := make([]*expr.Expr, nArgs)
 	for i := uint32(0); i < nSteps; i++ {
 		head, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
-		rule := proof.RuleID(head & 0xffff)
 		nprems := int(head >> 16 & 0xff)
 		nargs := int(head >> 24 & 0xf)
 		extras := head >> 28
-		s := proof.Step{Rule: rule}
-		for j := 0; j < nprems; j++ {
-			pm, err := r.u32()
-			if err != nil {
-				return nil, err
+		s := &steps[i]
+		s.Rule = proof.RuleID(head & 0xffff)
+		if nprems > 0 {
+			s.Premises, premSlab = premSlab[:nprems:nprems], premSlab[nprems:]
+			for j := range s.Premises {
+				if s.Premises[j], err = r.u32(); err != nil {
+					return nil, err
+				}
 			}
-			s.Premises = append(s.Premises, pm)
 		}
-		for j := 0; j < nargs; j++ {
-			ao, err := r.u32()
-			if err != nil {
-				return nil, err
+		if nargs > 0 {
+			s.Args, argSlab = argSlab[:nargs:nargs], argSlab[nargs:]
+			for j := range s.Args {
+				ao, err := r.u32()
+				if err != nil {
+					return nil, err
+				}
+				if s.Args[j], err = pr.node(ao); err != nil {
+					return nil, err
+				}
 			}
-			a, err := pr.node(ao)
-			if err != nil {
-				return nil, err
-			}
-			s.Args = append(s.Args, a)
 		}
 		if extras != 0 {
 			ex, err := r.u32()
@@ -441,10 +450,9 @@ func DecodeProof(buf []byte) (*proof.Proof, error) {
 				return nil, fmt.Errorf("bcfenc: step %d: unknown extra kind", i)
 			}
 		}
-		out.Steps = append(out.Steps, s)
 	}
 	if r.off != len(r.buf) {
 		return nil, fmt.Errorf("bcfenc: trailing bytes")
 	}
-	return out, nil
+	return &proof.Proof{Steps: steps}, nil
 }

@@ -186,3 +186,67 @@ func TestTruncationFuzz(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeLeafHeaders pins how leaf headers decode: a constant wider
+// than its width is masked, and a const or var header that carries
+// operands decodes as the bare leaf once its operands decode.
+func TestDecodeLeafHeaders(t *testing.T) {
+	var w writer
+	w.u32(MagicCondition)
+	w.u32(Version)
+	w.u32(6) // pool words
+	w.u32(2) // root offset
+	// Offset 0: var 5, width 64.
+	w.u32(uint32(expr.OpVar) | 64<<8)
+	w.u32(5)
+	// Offset 2: boolean const 0x...03 carrying one operand (offset 0).
+	w.u32(uint32(expr.OpConst) | 1<<8 | 1<<24)
+	w.u64(0xffff_0000_0000_0003)
+	w.u32(0)
+	c, err := DecodeCondition(w.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !expr.Equal(c.Cond, expr.True) || len(c.Cond.Args) != 0 {
+		t.Fatalf("decoded %s with %d operands, want the bare constant true", c.Cond, len(c.Cond.Args))
+	}
+}
+
+// TestDecodedStepsDoNotAlias checks that appending to one decoded step's
+// premises or arguments never overwrites the next step's, although both
+// are carved from shared slabs.
+func TestDecodedStepsDoNotAlias(t *testing.T) {
+	out, err := solver.Prove(nil, fig2Cond(15), solver.Options{})
+	if err != nil || !out.Proven {
+		t.Fatalf("prove: %v", err)
+	}
+	buf, err := EncodeProof(out.Proof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := DecodeProof(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeProof(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.Steps {
+		p.Steps[i].Premises = append(p.Steps[i].Premises, 1<<30)
+		p.Steps[i].Args = append(p.Steps[i].Args, expr.False)
+	}
+	for i := range p.Steps {
+		got, w := p.Steps[i], want.Steps[i]
+		for j := range w.Premises {
+			if got.Premises[j] != w.Premises[j] {
+				t.Fatalf("step %d premise %d overwritten: %d, want %d", i, j, got.Premises[j], w.Premises[j])
+			}
+		}
+		for j := range w.Args {
+			if got.Args[j] != w.Args[j] && !expr.Equal(got.Args[j], w.Args[j]) {
+				t.Fatalf("step %d arg %d overwritten: %s, want %s", i, j, got.Args[j], w.Args[j])
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package bcfenc
 
 import (
+	"fmt"
 	"testing"
 
 	"bcf/internal/expr"
@@ -11,6 +12,37 @@ import (
 // for all untrusted bytes. Properties: never panic, and anything that
 // decodes is well-formed and re-encodable (so a hostile stream cannot
 // smuggle malformed terms past the boundary).
+
+// literalCopy rebuilds e, sharing preserved, out of &expr.Expr{} literals,
+// which carry no construction-time facts.
+func literalCopy(e *expr.Expr, memo map[*expr.Expr]*expr.Expr) *expr.Expr {
+	if c, ok := memo[e]; ok {
+		return c
+	}
+	c := &expr.Expr{Op: e.Op, Width: e.Width, Aux: e.Aux, K: e.K}
+	for _, a := range e.Args {
+		c.Args = append(c.Args, literalCopy(a, memo))
+	}
+	memo[e] = c
+	return c
+}
+
+// checkDecodedTerm asserts that a decoded term's construction-time
+// well-formedness agrees with the full walk over the same term, and that
+// its size bound never undercounts.
+func checkDecodedTerm(t *testing.T, what string, e *expr.Expr) {
+	t.Helper()
+	got := e.CheckWellFormed()
+	if got != nil {
+		t.Fatalf("%s: decoded term is malformed: %v", what, got)
+	}
+	if full := literalCopy(e, map[*expr.Expr]*expr.Expr{}).CheckWellFormed(); full != nil {
+		t.Fatalf("%s: well-formed at construction, but the full walk says %v", what, full)
+	}
+	if e.Size() > e.SizeBound() {
+		t.Fatalf("%s: Size %d exceeds SizeBound %d", what, e.Size(), e.SizeBound())
+	}
+}
 
 func condSeed(t interface{ Fatal(...any) }) []byte {
 	b, err := EncodeCondition(&Condition{Cond: fig2Cond(15)})
@@ -50,9 +82,7 @@ func FuzzDecodeCondition(f *testing.F) {
 		if c.Cond == nil || c.Cond.Width != 1 {
 			t.Fatal("decoder returned a non-boolean condition without error")
 		}
-		if err := c.Cond.CheckWellFormed(); err != nil {
-			t.Fatalf("decoded condition is malformed: %v", err)
-		}
+		checkDecodedTerm(t, "condition", c.Cond)
 		re, err := EncodeCondition(c)
 		if err != nil {
 			t.Fatalf("re-encoding a decoded condition failed: %v", err)
@@ -87,9 +117,7 @@ func FuzzDecodeProof(f *testing.F) {
 				if a == nil {
 					t.Fatalf("step %d: decoder produced a nil arg", i)
 				}
-				if err := a.CheckWellFormed(); err != nil {
-					t.Fatalf("step %d: malformed arg: %v", i, err)
-				}
+				checkDecodedTerm(t, fmt.Sprintf("step %d arg", i), a)
 			}
 		}
 		if _, err := EncodeProof(p); err != nil {

@@ -12,6 +12,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -93,13 +94,23 @@ func (op Op) IsBoolConnective() bool { return op >= OpBoolAnd && op <= OpImplies
 func (op Op) IsBinaryBV() bool { return op >= OpAdd && op <= OpAshr }
 
 // Expr is one immutable term node.
+//
+// Nodes built by the constructors record at construction whether the
+// whole term is well-formed and an upper bound on its size, so
+// CheckWellFormed and the proof checker's size limit cost O(1) on them.
+// Hand-built &Expr{} literals record neither and take the full walk.
 type Expr struct {
 	Op    Op
 	Width uint8 // result width in bits: 1, 8, 16, 32 or 64
 	Aux   uint8 // Extract: low bit index
-	K     uint64
-	Args  []*Expr
-	hash  uint64
+	wf    bool  // this node and every node below it pass checkNode
+	// tree is the node count of the term unfolded as a tree, saturating
+	// at math.MaxUint32; 0 means unknown (a literal somewhere below).
+	tree uint32
+	K    uint64
+	Args []*Expr
+	hash uint64
+	ops  [2]*Expr // inline storage behind Args for up to two operands
 }
 
 // Mask returns the value mask for a width.
@@ -119,13 +130,40 @@ func SignExtend(v uint64, width uint8) int64 {
 	return int64(v<<shift) >> shift
 }
 
+// newExpr builds a node, copying args so the caller's slice never
+// escapes, and records its hash, well-formedness and tree size.
 func newExpr(op Op, width uint8, aux uint8, k uint64, args ...*Expr) *Expr {
-	e := &Expr{Op: op, Width: width, Aux: aux, K: k, Args: args}
+	e := &Expr{Op: op, Width: width, Aux: aux, K: k}
+	switch {
+	case len(args) == 0:
+	case len(args) <= len(e.ops):
+		n := copy(e.ops[:], args)
+		e.Args = e.ops[:n:n]
+	default:
+		e.Args = append([]*Expr(nil), args...)
+	}
 	h := uint64(op)<<56 ^ uint64(width)<<48 ^ uint64(aux)<<40 ^ mix(k)
-	for _, a := range args {
+	wf := checkNode(e) == nodeOK
+	tree := uint64(1)
+	for _, a := range e.Args {
+		if a == nil {
+			wf, tree = false, 0
+			continue
+		}
 		h = h*0x9e3779b97f4a7c15 + a.hash
+		wf = wf && a.wf
+		if a.tree == 0 || tree == 0 {
+			tree = 0
+		} else {
+			tree += uint64(a.tree)
+		}
 	}
 	e.hash = h
+	e.wf = wf
+	if tree > math.MaxUint32 {
+		tree = math.MaxUint32
+	}
+	e.tree = uint32(tree)
 	return e
 }
 
@@ -417,13 +455,13 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Size returns the number of nodes in the term viewed as a DAG-unfolded
-// tree (shared nodes counted once via the visited set).
+// Size returns the number of distinct nodes in the term (shared nodes
+// counted once via the visited set). Nil operands count as no node.
 func (e *Expr) Size() int {
 	seen := map[*Expr]bool{}
 	var walk func(*Expr) int
 	walk = func(n *Expr) int {
-		if seen[n] {
+		if n == nil || seen[n] {
 			return 0
 		}
 		seen[n] = true
@@ -434,6 +472,17 @@ func (e *Expr) Size() int {
 		return total
 	}
 	return walk(e)
+}
+
+// SizeBound returns an upper bound on Size: the node count of the term
+// unfolded as a tree, recorded at construction. It is math.MaxInt when
+// the term contains a hand-built node or the count saturated, so a
+// caller comparing it against a limit falls back to the exact Size.
+func (e *Expr) SizeBound() int {
+	if e.tree == 0 || e.tree == math.MaxUint32 {
+		return math.MaxInt
+	}
+	return int(e.tree)
 }
 
 // Vars collects the variable ids (with widths) appearing in e.
@@ -458,8 +507,9 @@ func (e *Expr) Vars() map[uint32]uint8 {
 }
 
 // Rebuild constructs a node from decoded parts, recomputing the
-// structural hash. Callers (the wire-format decoder) must validate the
-// result with CheckWellFormed.
+// structural hash, well-formedness and tree size; args is copied. The
+// parts are not checked, so callers (the wire-format decoder) must
+// validate the result with CheckWellFormed, which answers in O(1).
 func Rebuild(op Op, width uint8, aux uint8, k uint64, args []*Expr) *Expr {
 	return newExpr(op, width, aux, k, args...)
 }
@@ -484,8 +534,8 @@ func ReplaceArg(t *Expr, i int, c *Expr) (*Expr, error) {
 	if i < 0 || i >= len(t.Args) {
 		return nil, fmt.Errorf("expr: child index %d out of range", i)
 	}
-	args := make([]*Expr, len(t.Args))
-	copy(args, t.Args)
+	var buf [2]*Expr
+	args := append(buf[:0], t.Args...)
 	args[i] = c
 	out := newExpr(t.Op, t.Width, t.Aux, t.K, args...)
 	if err := out.CheckWellFormed(); err != nil {
@@ -543,67 +593,131 @@ func ValidWidth(w uint8) bool {
 	return false
 }
 
-// CheckWellFormed validates widths and arities over the whole term; the
-// proof checker calls this during its format/type stage.
+// nodeFault names the first rule a single node breaks; checkNode returns
+// it without allocating and fault renders it as an error.
+type nodeFault uint8
+
+const (
+	nodeOK nodeFault = iota
+	faultWidth
+	faultConst
+	faultOp
+	faultArity
+	faultNilOperand
+	faultWidthMismatch
+	faultBoolOperands
+	faultExtract
+)
+
+// arity returns the operand count op takes, or -1 for an invalid op.
+func arity(op Op) int {
+	switch {
+	case op == OpConst || op == OpVar:
+		return 0
+	case op == OpNot || op == OpNeg || op == OpBoolNot ||
+		op == OpZExt || op == OpSExt || op == OpExtract:
+		return 1
+	case op.IsBinaryBV() || op.IsPredicate() || op.IsBoolConnective():
+		return 2
+	}
+	return -1
+}
+
+// checkNode validates one node against its direct operands: width,
+// constant range, op, arity and operand widths. A term is well-formed
+// when every node in it passes.
+func checkNode(n *Expr) nodeFault {
+	if !ValidWidth(n.Width) {
+		return faultWidth
+	}
+	want := arity(n.Op)
+	switch {
+	case want < 0:
+		return faultOp
+	case n.Op == OpConst && n.K&^Mask(n.Width) != 0:
+		return faultConst
+	case len(n.Args) != want:
+		return faultArity
+	}
+	for _, a := range n.Args {
+		if a == nil {
+			return faultNilOperand
+		}
+	}
+	switch {
+	case n.Op.IsBinaryBV():
+		if n.Args[0].Width != n.Width || n.Args[1].Width != n.Width {
+			return faultWidthMismatch
+		}
+	case n.Op.IsPredicate():
+		if n.Width != 1 || n.Args[0].Width != n.Args[1].Width {
+			return faultWidthMismatch
+		}
+	case n.Op.IsBoolConnective():
+		if n.Width != 1 || n.Args[0].Width != 1 ||
+			(len(n.Args) > 1 && n.Args[1].Width != 1) {
+			return faultBoolOperands
+		}
+	case n.Op == OpNot || n.Op == OpNeg:
+		if n.Args[0].Width != n.Width {
+			return faultWidthMismatch
+		}
+	case n.Op == OpZExt || n.Op == OpSExt:
+		if n.Args[0].Width >= n.Width || n.Width == 1 || n.Args[0].Width == 1 {
+			return faultWidthMismatch
+		}
+	case n.Op == OpExtract:
+		if uint(n.Aux)+uint(n.Width) > uint(n.Args[0].Width) || n.Args[0].Width == 1 {
+			return faultExtract
+		}
+	}
+	return nodeOK
+}
+
+// fault renders the error for a fault checkNode found at n.
+func (n *Expr) fault(f nodeFault) error {
+	switch f {
+	case faultWidth:
+		return fmt.Errorf("expr: invalid width %d", n.Width)
+	case faultConst:
+		return fmt.Errorf("expr: constant %#x exceeds width %d", n.K, n.Width)
+	case faultOp:
+		return fmt.Errorf("expr: invalid op %d", n.Op)
+	case faultArity:
+		return fmt.Errorf("expr: %s arity %d, want %d", n.Op, len(n.Args), arity(n.Op))
+	case faultNilOperand:
+		return fmt.Errorf("expr: %s has a nil operand", n.Op)
+	case faultWidthMismatch:
+		return fmt.Errorf("expr: %s width mismatch", n.Op)
+	case faultBoolOperands:
+		return fmt.Errorf("expr: %s needs boolean operands", n.Op)
+	case faultExtract:
+		return fmt.Errorf("expr: extract out of range")
+	}
+	return nil
+}
+
+// CheckWellFormed validates widths and arities over the whole term; every
+// trust boundary (the wire decoder, the prover, the bit-blaster and the
+// proof checker) calls it. A constructor-built term answers from the flag
+// newExpr recorded; otherwise the walk checks each node not already known
+// to be well-formed.
 func (e *Expr) CheckWellFormed() error {
+	if e == nil {
+		return fmt.Errorf("expr: nil term")
+	}
+	if e.wf {
+		return nil
+	}
 	seen := map[*Expr]bool{}
 	var walk func(*Expr) error
 	walk = func(n *Expr) error {
-		if seen[n] {
+		if n.wf || seen[n] {
 			return nil
 		}
 		seen[n] = true
-		if !ValidWidth(n.Width) {
-			return fmt.Errorf("expr: invalid width %d", n.Width)
-		}
-		wantArgs := 0
-		switch {
-		case n.Op == OpConst || n.Op == OpVar:
-			wantArgs = 0
-			if n.K&^Mask(n.Width) != 0 && n.Op == OpConst {
-				return fmt.Errorf("expr: constant %#x exceeds width %d", n.K, n.Width)
-			}
-		case n.Op == OpNot || n.Op == OpNeg || n.Op == OpBoolNot ||
-			n.Op == OpZExt || n.Op == OpSExt || n.Op == OpExtract:
-			wantArgs = 1
-		case n.Op.IsBinaryBV() || n.Op.IsPredicate() || n.Op.IsBoolConnective():
-			wantArgs = 2
-		default:
-			return fmt.Errorf("expr: invalid op %d", n.Op)
-		}
-		if len(n.Args) != wantArgs {
-			return fmt.Errorf("expr: %s arity %d, want %d", n.Op, len(n.Args), wantArgs)
-		}
-		switch {
-		case n.Op.IsBinaryBV():
-			if n.Args[0].Width != n.Width || n.Args[1].Width != n.Width {
-				return fmt.Errorf("expr: %s width mismatch", n.Op)
-			}
-		case n.Op.IsPredicate():
-			if n.Width != 1 || n.Args[0].Width != n.Args[1].Width {
-				return fmt.Errorf("expr: %s width mismatch", n.Op)
-			}
-		case n.Op.IsBoolConnective():
-			if n.Width != 1 || n.Args[0].Width != 1 ||
-				(len(n.Args) > 1 && n.Args[1].Width != 1) {
-				return fmt.Errorf("expr: %s needs boolean operands", n.Op)
-			}
-		case n.Op == OpBoolNot:
-			if n.Width != 1 || n.Args[0].Width != 1 {
-				return fmt.Errorf("expr: not needs a boolean operand")
-			}
-		case n.Op == OpNot || n.Op == OpNeg:
-			if n.Args[0].Width != n.Width {
-				return fmt.Errorf("expr: %s width mismatch", n.Op)
-			}
-		case n.Op == OpZExt || n.Op == OpSExt:
-			if n.Args[0].Width >= n.Width || n.Width == 1 || n.Args[0].Width == 1 {
-				return fmt.Errorf("expr: %s width mismatch", n.Op)
-			}
-		case n.Op == OpExtract:
-			if uint(n.Aux)+uint(n.Width) > uint(n.Args[0].Width) || n.Args[0].Width == 1 {
-				return fmt.Errorf("expr: extract out of range")
-			}
+		if f := checkNode(n); f != nodeOK {
+			return n.fault(f)
 		}
 		for _, a := range n.Args {
 			if err := walk(a); err != nil {

@@ -61,7 +61,10 @@ func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
 			if a == nil {
 				return fmt.Errorf("proof: step %d: nil argument", i)
 			}
-			if a.Size() > lim.MaxArgNodes {
+			// The tree-size bound recorded at construction settles
+			// almost every argument; only a term whose bound exceeds the
+			// limit pays for the exact, shared-node count.
+			if a.SizeBound() > lim.MaxArgNodes && a.Size() > lim.MaxArgNodes {
 				return fmt.Errorf("proof: step %d: argument too large", i)
 			}
 			if err := a.CheckWellFormed(); err != nil {
@@ -95,6 +98,7 @@ type checker struct {
 	notCond *expr.Expr
 	cnf     *bitblast.CNF
 	lim     Limits
+	seen    map[sat.Lit]bool // resolve's scratch set
 }
 
 // blast lazily bit-blasts ¬cond (shared with the prover by determinism).
@@ -423,7 +427,10 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if s.Pivot <= 0 {
 			return Conclusion{}, fmt.Errorf("invalid pivot %d", s.Pivot)
 		}
-		res, err := resolve(a, b, int(s.Pivot), ck.lim.MaxClauseLen)
+		if ck.seen == nil {
+			ck.seen = map[sat.Lit]bool{}
+		}
+		res, err := resolve(a, b, int(s.Pivot), ck.lim.MaxClauseLen, ck.seen)
 		if err != nil {
 			return Conclusion{}, err
 		}
@@ -440,10 +447,11 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 	return Conclusion{}, fmt.Errorf("unhandled rule")
 }
 
-// resolve computes the binary resolvent on pivot.
-func resolve(a, b []sat.Lit, pivot int, maxLen int) ([]sat.Lit, error) {
+// resolve computes the binary resolvent on pivot. seen is scratch space
+// for deduplicating literals, cleared here and reused across steps.
+func resolve(a, b []sat.Lit, pivot int, maxLen int, seen map[sat.Lit]bool) ([]sat.Lit, error) {
 	pos, neg := false, false
-	seen := map[sat.Lit]bool{}
+	clear(seen)
 	var out []sat.Lit
 	add := func(c []sat.Lit) {
 		for _, l := range c {
