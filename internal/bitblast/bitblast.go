@@ -19,7 +19,9 @@ import (
 
 // CNF is the result of encoding a boolean term.
 type CNF struct {
-	NVars   int
+	NVars int
+	// Clauses are capacity-capped views into one literal arena;
+	// callers must not append to them.
 	Clauses [][]sat.Lit
 	// Inputs maps expr variable ids to their bit variables (LSB first),
 	// used to extract counterexample models.
@@ -35,8 +37,16 @@ func Encode(f *expr.Expr) (*CNF, error) {
 	if err := f.CheckWellFormed(); err != nil {
 		return nil, err
 	}
+	// Size the node cache by the term's tree size, which bounds its
+	// distinct nodes, and the clause arena by a few literals per node;
+	// both grow if that falls short. Constant folding leaves many terms
+	// with far fewer clauses than nodes, so the arena starts small.
+	nodes := min(f.SizeBound(), 256)
 	e := &encoder{
-		cache:  map[uint64][]cacheEntry{},
+		lits:   make([]sat.Lit, 0, 4*nodes),
+		ends:   make([]int32, 0, 2*nodes),
+		cache:  make([]cacheEntry, 0, nodes),
+		head:   make(map[uint64]int32, nodes),
 		inputs: map[uint32][]sat.Lit{},
 	}
 	// Variable 1 is the constant-true anchor.
@@ -47,19 +57,54 @@ func Encode(f *expr.Expr) (*CNF, error) {
 		return nil, err
 	}
 	e.emit(root)
-	return &CNF{NVars: e.nVars, Clauses: e.clauses, Inputs: e.inputs}, nil
+	clauses := make([][]sat.Lit, len(e.ends))
+	start := int32(0)
+	for i, end := range e.ends {
+		clauses[i] = e.lits[start:end:end]
+		start = end
+	}
+	return &CNF{NVars: e.nVars, Clauses: clauses, Inputs: e.inputs}, nil
 }
 
+// cacheEntry is one hash-consed node; entries with the same hash are
+// chained through next (an index into encoder.cache, -1 ends a chain).
 type cacheEntry struct {
 	node *expr.Expr
 	bits []sat.Lit
+	next int32
 }
 
+// slabChunk is the size of the chunks node bit vectors are carved from:
+// four 64-bit vectors.
+const slabChunk = 256
+
 type encoder struct {
-	nVars   int
-	clauses [][]sat.Lit
-	cache   map[uint64][]cacheEntry
-	inputs  map[uint32][]sat.Lit
+	nVars  int
+	lits   []sat.Lit // every clause's literals, back to back
+	ends   []int32   // clause i is lits[ends[i-1]:ends[i]]
+	cache  []cacheEntry
+	head   map[uint64]int32 // node hash -> newest cache entry with it
+	inputs map[uint32][]sat.Lit
+	slab   []sat.Lit // backs the bit vectors handed out by bits
+}
+
+// bits returns a zeroed, capacity-capped w-literal vector carved from
+// the encoder's slab, which is allocated in chunks of slabChunk
+// literals.
+func (e *encoder) bits(w int) []sat.Lit {
+	if cap(e.slab)-len(e.slab) < w {
+		e.slab = make([]sat.Lit, 0, max(w, slabChunk))
+	}
+	n := len(e.slab)
+	e.slab = e.slab[:n+w]
+	return e.slab[n : n+w : n+w]
+}
+
+// one returns the one-literal vector {l}.
+func (e *encoder) one(l sat.Lit) []sat.Lit {
+	b := e.bits(1)
+	b[0] = l
+	return b
 }
 
 func litTrue(e *encoder) sat.Lit  { return 1 }
@@ -71,9 +116,8 @@ func (e *encoder) newVar() sat.Lit {
 }
 
 func (e *encoder) emit(lits ...sat.Lit) {
-	c := make([]sat.Lit, len(lits))
-	copy(c, lits)
-	e.clauses = append(e.clauses, c)
+	e.lits = append(e.lits, lits...)
+	e.ends = append(e.ends, int32(len(e.lits)))
 }
 
 func (e *encoder) constLit(b bool) sat.Lit {
@@ -85,16 +129,25 @@ func (e *encoder) constLit(b bool) sat.Lit {
 
 // lookup finds the cached bits for a structurally equal node.
 func (e *encoder) lookup(n *expr.Expr) ([]sat.Lit, bool) {
-	for _, ent := range e.cache[n.Hash()] {
+	i, ok := e.head[n.Hash()]
+	for ok && i >= 0 {
+		ent := &e.cache[i]
 		if expr.Equal(ent.node, n) {
 			return ent.bits, true
 		}
+		i = ent.next
 	}
 	return nil, false
 }
 
 func (e *encoder) store(n *expr.Expr, bits []sat.Lit) {
-	e.cache[n.Hash()] = append(e.cache[n.Hash()], cacheEntry{node: n, bits: bits})
+	h := n.Hash()
+	next, ok := e.head[h]
+	if !ok {
+		next = -1
+	}
+	e.head[h] = int32(len(e.cache))
+	e.cache = append(e.cache, cacheEntry{node: n, bits: bits, next: next})
 }
 
 // ---- gate constructors (with constant folding) ----
@@ -175,7 +228,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []sat.Lit{l}, nil
+		return e.one(l), nil
 	}
 	if bits, ok := e.lookup(n); ok {
 		return bits, nil
@@ -184,7 +237,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 	var bits []sat.Lit
 	switch n.Op {
 	case expr.OpConst:
-		bits = make([]sat.Lit, w)
+		bits = e.bits(w)
 		for i := 0; i < w; i++ {
 			bits[i] = e.constLit(n.K&(1<<uint(i)) != 0)
 		}
@@ -193,7 +246,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if in, ok := e.inputs[id]; ok {
 			bits = in
 		} else {
-			bits = make([]sat.Lit, w)
+			bits = e.bits(w)
 			for i := range bits {
 				bits[i] = e.newVar()
 			}
@@ -204,7 +257,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.bits(w)
 		for i := range bits {
 			bits[i] = -a[i]
 		}
@@ -213,7 +266,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		na := make([]sat.Lit, w)
+		na := e.bits(w)
 		for i := range na {
 			na[i] = -a[i]
 		}
@@ -227,7 +280,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.bits(w)
 		for i := 0; i < w; i++ {
 			switch n.Op {
 			case expr.OpAnd:
@@ -257,7 +310,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		nb := make([]sat.Lit, w)
+		nb := e.bits(w)
 		for i := range nb {
 			nb[i] = -b[i]
 		}
@@ -287,7 +340,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.bits(w)
 		copy(bits, a)
 		for i := len(a); i < w; i++ {
 			bits[i] = litFalse(e)
@@ -297,7 +350,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.bits(w)
 		copy(bits, a)
 		for i := len(a); i < w; i++ {
 			bits[i] = a[len(a)-1]
@@ -307,7 +360,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.bits(w)
 		copy(bits, a[n.Aux:int(n.Aux)+w])
 	case expr.OpUDiv, expr.OpURem:
 		a, err := e.encodeBV(n.Args[0])
@@ -335,7 +388,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 }
 
 func (e *encoder) constBits(v uint64, w int) []sat.Lit {
-	bits := make([]sat.Lit, w)
+	bits := e.bits(w)
 	for i := 0; i < w; i++ {
 		bits[i] = e.constLit(v&(1<<uint(i)) != 0)
 	}
@@ -345,7 +398,7 @@ func (e *encoder) constBits(v uint64, w int) []sat.Lit {
 // adder builds a ripple-carry adder a + b + cin (result truncated to w).
 func (e *encoder) adder(a, b []sat.Lit, cin sat.Lit) []sat.Lit {
 	w := len(a)
-	out := make([]sat.Lit, w)
+	out := e.bits(w)
 	carry := cin
 	for i := 0; i < w; i++ {
 		out[i] = e.mkXor3(a[i], b[i], carry)
@@ -362,7 +415,7 @@ func (e *encoder) multiplier(a, b []sat.Lit) []sat.Lit {
 	acc := e.constBits(0, w)
 	for i := 0; i < w; i++ {
 		// partial = (a << i) & b[i]
-		partial := make([]sat.Lit, w)
+		partial := e.bits(w)
 		for j := 0; j < w; j++ {
 			if j < i {
 				partial[j] = litFalse(e)
@@ -384,8 +437,8 @@ func (e *encoder) divider(a, b []sat.Lit) ([]sat.Lit, []sat.Lit, error) {
 	if w > 64 {
 		return nil, nil, fmt.Errorf("bitblast: divider width %d", w)
 	}
-	q := make([]sat.Lit, w)
-	r := make([]sat.Lit, w)
+	q := e.bits(w)
+	r := e.bits(w)
 	for i := 0; i < w; i++ {
 		q[i] = e.newVar()
 		r[i] = e.newVar()
@@ -398,7 +451,7 @@ func (e *encoder) divider(a, b []sat.Lit) ([]sat.Lit, []sat.Lit, error) {
 	}
 	// Double-width product q·b plus r must equal a (zero-extended).
 	ext := func(v []sat.Lit) []sat.Lit {
-		out := make([]sat.Lit, 2*w)
+		out := e.bits(2 * w)
 		copy(out, v)
 		for i := w; i < 2*w; i++ {
 			out[i] = f
@@ -436,7 +489,7 @@ func (e *encoder) shifter(op expr.Op, a, b []sat.Lit) []sat.Lit {
 	cur := a
 	for s := 0; s < stages; s++ {
 		amt := 1 << uint(s)
-		next := make([]sat.Lit, w)
+		next := e.bits(w)
 		for i := 0; i < w; i++ {
 			var shifted sat.Lit
 			switch op {
@@ -482,7 +535,7 @@ func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
 			out = in[0]
 		} else {
 			out = e.newVar()
-			e.inputs[id] = []sat.Lit{out}
+			e.inputs[id] = e.one(out)
 		}
 	case expr.OpBoolNot:
 		a, err := e.encodeBool(n.Args[0])
@@ -531,8 +584,8 @@ func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
 		}
 		if n.Op == expr.OpSlt || n.Op == expr.OpSle {
 			// Flip sign bits to reduce signed to unsigned comparison.
-			a = append([]sat.Lit(nil), a...)
-			b = append([]sat.Lit(nil), b...)
+			a = append(e.bits(len(a))[:0], a...)
+			b = append(e.bits(len(b))[:0], b...)
 			a[len(a)-1] = -a[len(a)-1]
 			b[len(b)-1] = -b[len(b)-1]
 		}
@@ -545,7 +598,7 @@ func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
 	default:
 		return 0, fmt.Errorf("bitblast: unexpected boolean op %s", n.Op)
 	}
-	e.store(n, []sat.Lit{out})
+	e.store(n, e.one(out))
 	return out, nil
 }
 

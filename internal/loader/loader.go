@@ -343,13 +343,15 @@ func prove(ctx context.Context, condBytes []byte, opts Options, res *Result) (pr
 		p, hit, shared, err := opts.ProofCache.GetOrCompute(condBytes, func() ([]byte, error) {
 			return proveUncached(ctx, condBytes, opts, res)
 		})
-		switch {
-		case hit:
+		if hit {
 			opts.Obs.Counter(obs.MCacheHits).Inc()
-		case shared:
-			opts.Obs.Counter(obs.MCacheCoalesced).Inc()
-		default:
+		} else {
+			// A coalesced lookup waited on another load's computation;
+			// ProofCache counts it as a miss, and so does the registry.
 			opts.Obs.Counter(obs.MCacheMisses).Inc()
+			if shared {
+				opts.Obs.Counter(obs.MCacheCoalesced).Inc()
+			}
 		}
 		if err != nil {
 			return nil, bcferr.CounterexampleOf(err), false, err

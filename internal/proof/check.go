@@ -98,7 +98,18 @@ type checker struct {
 	notCond *expr.Expr
 	cnf     *bitblast.CNF
 	lim     Limits
-	seen    map[sat.Lit]bool // resolve's scratch set
+	seen    []bool    // resolve's scratch set, indexed by sat.Lit.Index
+	arena   []sat.Lit // backs the resolvents, back to back
+}
+
+// room returns an empty slice with space for n literals at the end of
+// the resolvent arena, which is allocated in chunks of at least 256
+// literals.
+func (ck *checker) room(n int) []sat.Lit {
+	if cap(ck.arena)-len(ck.arena) < n {
+		ck.arena = make([]sat.Lit, 0, max(n, 256))
+	}
+	return ck.arena[len(ck.arena):len(ck.arena)]
 }
 
 // blast lazily bit-blasts ¬cond (shared with the prover by determinism).
@@ -109,6 +120,7 @@ func (ck *checker) blast() (*bitblast.CNF, error) {
 			return nil, err
 		}
 		ck.cnf = cnf
+		ck.seen = make([]bool, 2*(cnf.NVars+1))
 	}
 	return ck.cnf, nil
 }
@@ -427,13 +439,11 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if s.Pivot <= 0 {
 			return Conclusion{}, fmt.Errorf("invalid pivot %d", s.Pivot)
 		}
-		if ck.seen == nil {
-			ck.seen = map[sat.Lit]bool{}
-		}
-		res, err := resolve(a, b, int(s.Pivot), ck.lim.MaxClauseLen, ck.seen)
+		res, err := resolve(a, b, int(s.Pivot), ck.lim.MaxClauseLen, ck.seen, ck.room(len(a)+len(b)))
 		if err != nil {
 			return Conclusion{}, err
 		}
+		ck.arena = ck.arena[:len(ck.arena)+len(res)]
 		return clauseC(res), nil
 	}
 
@@ -447,13 +457,16 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 	return Conclusion{}, fmt.Errorf("unhandled rule")
 }
 
-// resolve computes the binary resolvent on pivot. seen is scratch space
-// for deduplicating literals, cleared here and reused across steps.
-func resolve(a, b []sat.Lit, pivot int, maxLen int, seen map[sat.Lit]bool) ([]sat.Lit, error) {
+// resolve computes the binary resolvent on pivot into buf, which must
+// have room for len(a)+len(b) literals, and returns it capacity-capped.
+// seen is scratch space for deduplicating literals, indexed by
+// sat.Lit.Index and sized for the CNF every clause comes from: all
+// false on entry, and reset over the resolvent before returning, so a
+// step costs the length of its clauses rather than of the scratch space.
+func resolve(a, b []sat.Lit, pivot int, maxLen int, seen []bool, buf []sat.Lit) ([]sat.Lit, error) {
 	pos, neg := false, false
-	clear(seen)
-	var out []sat.Lit
-	add := func(c []sat.Lit) {
+	out := buf[:0]
+	for _, c := range [2][]sat.Lit{a, b} {
 		for _, l := range c {
 			if l.Var() == pivot {
 				if l > 0 {
@@ -463,19 +476,20 @@ func resolve(a, b []sat.Lit, pivot int, maxLen int, seen map[sat.Lit]bool) ([]sa
 				}
 				continue
 			}
-			if !seen[l] {
-				seen[l] = true
+			if !seen[l.Index()] {
+				seen[l.Index()] = true
 				out = append(out, l)
 			}
 		}
 	}
-	add(a)
-	add(b)
+	for _, l := range out {
+		seen[l.Index()] = false
+	}
 	if !pos || !neg {
 		return nil, fmt.Errorf("pivot %d does not occur with both polarities", pivot)
 	}
 	if len(out) > maxLen {
 		return nil, fmt.Errorf("resolvent too large")
 	}
-	return out, nil
+	return out[:len(out):len(out)], nil
 }

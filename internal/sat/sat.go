@@ -11,6 +11,7 @@ package sat
 
 import (
 	"fmt"
+	"slices"
 
 	"bcf/internal/bcferr"
 )
@@ -19,12 +20,13 @@ import (
 // negation. Variables are numbered from 1.
 type Lit int32
 
-// Var returns the literal's variable.
+// Var returns the literal's variable. It widens before negating, so no
+// literal maps to a negative variable.
 func (l Lit) Var() int {
-	if l < 0 {
-		return int(-l)
+	if v := int(l); v >= 0 {
+		return v
 	}
-	return int(l)
+	return -int(l)
 }
 
 // Neg returns the complementary literal.
@@ -58,6 +60,16 @@ const (
 	valFalse      int8 = -1
 )
 
+// Index maps a literal to its slot in a literal-indexed array: 2·var
+// for +var, 2·var+1 for -var. An array over variables 1..n has 2(n+1)
+// slots.
+func (l Lit) Index() int {
+	if l < 0 {
+		return 2*int(-l) + 1
+	}
+	return 2 * int(l)
+}
+
 type clause struct {
 	lits    []Lit
 	id      int32 // proof clause id
@@ -69,18 +81,34 @@ type watcher struct {
 	blocker Lit
 }
 
-// Solver holds the CDCL state. Create with New, add clauses, then Solve.
+// Solver holds the CDCL state. Create with New, size the input slabs
+// with Reserve when the clause counts are known, add clauses, then
+// Solve.
 type Solver struct {
 	nVars    int
 	clauses  []*clause
-	watches  map[Lit][]watcher
-	assign   []int8  // per variable
-	level    []int32 // decision level per variable
-	pos      []int32 // trail position per variable
+	watched  int         // clauses[:watched] have their watches attached
+	watches  [][]watcher // indexed by Lit.Index
+	assign   []int8      // per variable
+	level    []int32     // decision level per variable
 	reason   []*clause
 	trail    []Lit
 	trailLim []int32
 	qhead    int
+
+	// mark is per-literal scratch, all zero between calls: AddClause
+	// uses it as a set, watchInputs as per-literal watch counts.
+	mark []int32
+	// seen and lvl0 are analyze's per-variable scratch: variables
+	// already in the learned clause, and level-0 variables whose
+	// literals are pending elimination from the resolvent.
+	seen []bool
+	lvl0 []bool
+
+	// Input clauses and their literals, carved from slabs sized by
+	// Reserve; an input that does not fit is allocated on its own.
+	clauseSlab []clause
+	litSlab    []Lit
 
 	activity []float64
 	varInc   float64
@@ -106,16 +134,27 @@ type Solver struct {
 // New returns a solver over nVars variables. If logProof is set, an UNSAT
 // answer carries a resolution refutation.
 func New(nVars int, logProof bool) *Solver {
+	n := nVars + 1
+	// The per-variable and per-literal arrays of one element type share
+	// a backing array. The trail, the decision levels and the heap
+	// never hold more than nVars entries, so they never grow.
+	i32 := make([]int32, 2*n+2*nVars+2*n)
+	flags := make([]bool, 3*n)
 	s := &Solver{
 		nVars:    nVars,
-		watches:  map[Lit][]watcher{},
-		assign:   make([]int8, nVars+1),
-		level:    make([]int32, nVars+1),
-		pos:      make([]int32, nVars+1),
-		reason:   make([]*clause, nVars+1),
-		activity: make([]float64, nVars+1),
-		heapIdx:  make([]int32, nVars+1),
-		phase:    make([]bool, nVars+1),
+		watches:  make([][]watcher, 2*n),
+		assign:   make([]int8, n),
+		reason:   make([]*clause, n),
+		activity: make([]float64, n),
+		trail:    make([]Lit, 0, nVars),
+		level:    i32[0:n:n],
+		heapIdx:  i32[n : 2*n : 2*n],
+		heap:     i32[2*n : 2*n : 2*n+nVars],
+		trailLim: i32[2*n+nVars : 2*n+nVars : 2*n+2*nVars],
+		mark:     i32[2*n+2*nVars:],
+		seen:     flags[0:n:n],
+		lvl0:     flags[n : 2*n : 2*n],
+		phase:    flags[2*n:],
 		varInc:   1.0,
 		logProof: logProof,
 	}
@@ -124,6 +163,16 @@ func New(nVars int, logProof bool) *Solver {
 		s.heapInsert(int32(v))
 	}
 	return s
+}
+
+// Reserve sizes the input slabs for the given number of clauses and
+// total literals, so that adding them allocates nothing. Call it before
+// the AddClause loop; inputs beyond the reservation are allocated one
+// by one.
+func (s *Solver) Reserve(clauses, lits int) {
+	s.clauseSlab = make([]clause, 0, clauses)
+	s.litSlab = make([]Lit, 0, lits)
+	s.clauses = slices.Grow(s.clauses, clauses)
 }
 
 func (s *Solver) value(l Lit) int8 {
@@ -136,45 +185,116 @@ func (s *Solver) value(l Lit) int8 {
 
 // AddClause adds an input clause. Duplicate literals are removed; a
 // tautological clause is silently dropped but still consumes a proof id
-// so the caller's clause numbering stays aligned.
+// so the caller's clause numbering stays aligned. A literal whose
+// variable lies outside 1..nVars is an error.
 func (s *Solver) AddClause(lits ...Lit) error {
 	for _, l := range lits {
-		if l == 0 || l.Var() > s.nVars {
+		if v := l.Var(); v < 1 || v > s.nVars {
 			return fmt.Errorf("sat: literal %d out of range", l)
 		}
 	}
-	c := &clause{lits: append([]Lit(nil), lits...), id: s.nextID}
+	id := s.nextID
 	s.nextID++
 	s.proof.NumInputs = int(s.nextID)
-	seen := map[Lit]bool{}
-	out := c.lits[:0]
-	for _, l := range c.lits {
-		if seen[l.Neg()] {
-			return nil // tautology: always satisfied
+	buf, inSlab := s.litSlab, true
+	if cap(buf)-len(buf) < len(lits) {
+		buf, inSlab = make([]Lit, 0, len(lits)), false
+	}
+	base := len(buf)
+	taut := false
+	for _, l := range lits {
+		if s.mark[l.Neg().Index()] != 0 {
+			taut = true // always satisfied
+			break
 		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
+		if s.mark[l.Index()] == 0 {
+			s.mark[l.Index()] = 1
+			buf = append(buf, l)
 		}
 	}
-	c.lits = out
-	switch len(c.lits) {
-	case 0:
+	out := buf[base:len(buf):len(buf)]
+	for _, l := range out {
+		s.mark[l.Index()] = 0
+	}
+	if taut {
+		return nil
+	}
+	if inSlab {
+		s.litSlab = buf
+	}
+	if len(out) == 0 {
 		s.emptySeen = true
 		return nil
-	case 1:
-		// Unit input clause: assign at level 0 when consistent.
-		s.clauses = append(s.clauses, c)
-		return nil
 	}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
+	// Unit input clauses are asserted at level 0 by Solve; longer ones
+	// get their watches there too, in clause order.
+	s.clauses = append(s.clauses, s.newInput(out, id))
 	return nil
 }
 
+// newInput returns an input clause, from the clause slab while it has
+// room.
+func (s *Solver) newInput(lits []Lit, id int32) *clause {
+	n := len(s.clauseSlab)
+	if n == cap(s.clauseSlab) {
+		return &clause{lits: lits, id: id}
+	}
+	s.clauseSlab = s.clauseSlab[:n+1]
+	c := &s.clauseSlab[n]
+	*c = clause{lits: lits, id: id}
+	return c
+}
+
 func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], watcher{c: c, blocker: c.lits[1]})
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c: c, blocker: c.lits[0]})
+	w0, w1 := c.lits[0].Neg().Index(), c.lits[1].Neg().Index()
+	s.watches[w0] = append(s.watches[w0], watcher{c: c, blocker: c.lits[1]})
+	s.watches[w1] = append(s.watches[w1], watcher{c: c, blocker: c.lits[0]})
+}
+
+// watchInputs attaches the watches of the input clauses added since the
+// last Solve. The watches are appended in clause order, the order in
+// which attaching them one by one in AddClause would leave them, so the
+// search visits them identically. Every list that gains n watches is
+// carved from one slab, with n/2 more slots of headroom for the watches
+// the search moves onto it.
+func (s *Solver) watchInputs() {
+	pending := s.clauses[s.watched:]
+	s.watched = len(s.clauses)
+	cnt := s.mark
+	for _, c := range pending {
+		if len(c.lits) >= 2 {
+			cnt[c.lits[0].Neg().Index()]++
+			cnt[c.lits[1].Neg().Index()]++
+		}
+	}
+	room := func(i int) int {
+		n := int(cnt[i])
+		return len(s.watches[i]) + n + (n+1)/2
+	}
+	total := 0
+	for i, n := range cnt {
+		if n != 0 {
+			total += room(i)
+		}
+	}
+	if total == 0 {
+		return
+	}
+	slab := make([]watcher, total)
+	for i, n := range cnt {
+		if n == 0 {
+			continue
+		}
+		end := room(i)
+		s.watches[i] = slab[:copy(slab, s.watches[i]):end]
+		slab = slab[end:]
+		cnt[i] = 0
+	}
+	for _, c := range pending {
+		if len(c.lits) >= 2 {
+			s.watch(c)
+		}
+	}
 }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
@@ -194,7 +314,6 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 	}
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
-	s.pos[v] = int32(len(s.trail))
 	s.trail = append(s.trail, l)
 	return true
 }
@@ -204,7 +323,7 @@ func (s *Solver) propagate() *clause {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
-		ws := s.watches[p]
+		ws := s.watches[p.Index()]
 		kept := ws[:0]
 		var confl *clause
 		for i := 0; i < len(ws); i++ {
@@ -231,7 +350,8 @@ func (s *Solver) propagate() *clause {
 			for k := 2; k < len(c.lits); k++ {
 				if s.value(c.lits[k]) != valFalse {
 					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c: c, blocker: c.lits[0]})
+					w1 := c.lits[1].Neg().Index()
+					s.watches[w1] = append(s.watches[w1], watcher{c: c, blocker: c.lits[0]})
 					found = true
 					break
 				}
@@ -248,7 +368,7 @@ func (s *Solver) propagate() *clause {
 				s.enqueue(c.lits[0], c)
 			}
 		}
-		s.watches[p] = kept
+		s.watches[p.Index()] = kept
 		if confl != nil {
 			return confl
 		}
@@ -378,8 +498,8 @@ func (s *Solver) logResolve(a, b int32, pivot int) int32 {
 // the resolvent by resolving against their unit-implication reasons.
 func (s *Solver) analyze(confl *clause) ([]Lit, int32, int32) {
 	learnt := []Lit{0} // slot 0 reserved for the asserting literal
-	seen := make(map[int]bool)
-	lvl0 := make(map[Lit]bool) // level-0 literals dropped from the clause
+	seen := s.seen
+	n0 := 0 // level-0 variables marked in s.lvl0, dropped from the clause
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
@@ -392,7 +512,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32, int32) {
 			}
 			v := q.Var()
 			if s.level[v] == 0 {
-				lvl0[q] = true
+				if s.logProof && !s.lvl0[v] {
+					s.lvl0[v] = true
+					n0++
+				}
 				continue
 			}
 			if seen[v] {
@@ -420,10 +543,15 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32, int32) {
 		c = s.reason[p.Var()]
 		accID = s.logResolve(accID, c.id, p.Var())
 	}
+	// Every current-level variable was unmarked when it was resolved on;
+	// the lower-level ones are the rest of the learned clause.
+	for _, q := range learnt[1:] {
+		seen[q.Var()] = false
+	}
 	// Eliminate dropped level-0 literals from the resolvent so the proof
 	// derives the learned clause exactly.
 	if s.logProof {
-		accID = s.eliminateLevel0(accID, lvl0)
+		accID = s.eliminateLevel0(accID, n0)
 	}
 
 	// Compute backjump level: the second-highest level in the clause.
@@ -446,6 +574,7 @@ func (s *Solver) Solve() (Result, error) {
 	if s.emptySeen {
 		return Result{SAT: false, Proof: s.proofOut()}, nil
 	}
+	s.watchInputs()
 	// Assert unit input clauses at level 0.
 	for _, c := range s.clauses {
 		if len(c.lits) == 1 {
@@ -494,6 +623,7 @@ func (s *Solver) Solve() (Result, error) {
 				return Result{SAT: false, Proof: s.proofOut()}, nil
 			}
 			s.clauses = append(s.clauses, lc)
+			s.watched = len(s.clauses)
 			if len(learnt) >= 2 {
 				s.watch(lc)
 			}
@@ -539,11 +669,14 @@ func (s *Solver) emptyFromLevel0Conflict(confl *clause) int32 {
 	if !s.logProof {
 		return -1
 	}
-	accLits := map[Lit]bool{}
+	n := 0
 	for _, l := range confl.lits {
-		accLits[l] = true
+		if v := l.Var(); !s.lvl0[v] {
+			s.lvl0[v] = true
+			n++
+		}
 	}
-	return s.eliminateLevel0(confl.id, accLits)
+	return s.eliminateLevel0(confl.id, n)
 }
 
 func (s *Solver) proofOut() *Proof {
@@ -554,29 +687,35 @@ func (s *Solver) proofOut() *Proof {
 	return &p
 }
 
-// eliminateLevel0 resolves away a set of level-0 falsified literals from
-// the accumulated clause, always picking the latest-assigned literal so
-// that reason antecedents (assigned strictly earlier) never re-introduce
-// an already-eliminated literal. Returns the final derived clause id.
-func (s *Solver) eliminateLevel0(accID int32, pending map[Lit]bool) int32 {
-	for len(pending) > 0 {
-		var pick Lit
-		best := int32(-1)
-		for l := range pending {
-			if p := s.pos[l.Var()]; p > best {
-				best = p
-				pick = l
-			}
+// eliminateLevel0 resolves away the n level-0 falsified literals whose
+// variables are marked in s.lvl0 from the accumulated clause, always
+// picking the latest-assigned one so that reason antecedents (assigned
+// strictly earlier) never re-introduce an already-eliminated literal.
+// Walking the level-0 trail backwards visits them in exactly that
+// order, and unmarks each as it goes. Returns the final derived clause
+// id.
+func (s *Solver) eliminateLevel0(accID int32, n int) int32 {
+	i := len(s.trail)
+	if len(s.trailLim) > 0 {
+		i = int(s.trailLim[0])
+	}
+	for n > 0 {
+		i--
+		v := s.trail[i].Var()
+		if !s.lvl0[v] {
+			continue
 		}
-		delete(pending, pick)
-		r := s.reason[pick.Var()]
+		s.lvl0[v] = false
+		n--
+		r := s.reason[v]
 		if r == nil {
 			continue
 		}
-		accID = s.logResolve(accID, r.id, pick.Var())
+		accID = s.logResolve(accID, r.id, v)
 		for _, q := range r.lits {
-			if q.Var() != pick.Var() {
-				pending[q] = true
+			if u := q.Var(); u != v && !s.lvl0[u] {
+				s.lvl0[u] = true
+				n++
 			}
 		}
 	}

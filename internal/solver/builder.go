@@ -59,12 +59,6 @@ func (b *builder) add(rule proof.RuleID, prems []uint32, args ...*expr.Expr) uin
 	return uint32(len(b.steps) - 1)
 }
 
-// addClauseStep appends a bit-level step.
-func (b *builder) addClauseStep(s proof.Step) uint32 {
-	b.steps = append(b.steps, s)
-	return uint32(len(b.steps) - 1)
-}
-
 func (b *builder) proof() *proof.Proof {
 	return &proof.Proof{Steps: b.steps}
 }

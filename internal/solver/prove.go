@@ -236,6 +236,11 @@ func bitblastProve(ctx context.Context, cond *expr.Expr, opts Options) (out *Out
 	if ctx.Done() != nil {
 		s.Interrupt = ctx.Err
 	}
+	nLits := 0
+	for _, c := range cnf.Clauses {
+		nLits += len(c)
+	}
+	s.Reserve(len(cnf.Clauses), nLits)
 	for _, c := range cnf.Clauses {
 		if err := s.AddClause(c...); err != nil {
 			return nil, fmt.Errorf("solver: %w", err)
@@ -275,52 +280,93 @@ func satProofToSteps(rp *sat.Proof, numInputs int) (*proof.Proof, error) {
 		// clauses, so treat this as an error.
 		return nil, fmt.Errorf("degenerate refutation")
 	}
-	// Mark steps needed for the final empty clause (backward sweep).
-	needStep := make([]bool, len(rp.Steps))
-	needInput := map[int32]bool{}
-	var mark func(id int32)
-	mark = func(id int32) {
-		if int(id) < numInputs {
-			needInput[id] = true
-			return
+	need := neededClauses(rp, numInputs)
+	nIn, nRes := 0, 0
+	for id, ok := range need {
+		switch {
+		case !ok:
+		case id < numInputs:
+			nIn++
+		default:
+			nRes++
 		}
-		si := int(id) - numInputs
-		if si < 0 || si >= len(rp.Steps) || needStep[si] {
-			return
-		}
-		needStep[si] = true
-		mark(rp.Steps[si].A)
-		mark(rp.Steps[si].B)
 	}
-	mark(int32(numInputs + len(rp.Steps) - 1))
-
-	b := &builder{}
-	assume := b.add(proof.RuleAssume, nil)
-	idMap := map[int32]uint32{}
-	for cid := int32(0); cid < int32(numInputs); cid++ {
-		if !needInput[cid] {
+	steps := make([]proof.Step, 1, 1+nIn+nRes)
+	steps[0] = proof.Step{Rule: proof.RuleAssume}
+	premises := make([]uint32, nIn+2*nRes) // an input's premise is the assume step, 0
+	// stepOf maps a clause id to the step concluding it; 0, the assume
+	// step, means no step does yet.
+	stepOf := make([]uint32, len(need))
+	for cid := 0; cid < numInputs; cid++ {
+		if !need[cid] {
 			continue
 		}
-		idMap[cid] = b.addClauseStep(proof.Step{
+		stepOf[cid] = uint32(len(steps))
+		steps = append(steps, proof.Step{
 			Rule:      proof.RuleBitblastClause,
-			Premises:  []uint32{assume},
-			ClauseIdx: cid,
+			Premises:  premises[:1:1],
+			ClauseIdx: int32(cid),
 		})
+		premises = premises[1:]
+	}
+	mapped := func(id int32) (uint32, bool) {
+		if id < 0 || int(id) >= len(stepOf) {
+			return 0, false
+		}
+		return stepOf[id], stepOf[id] != 0
 	}
 	for si, st := range rp.Steps {
-		if !needStep[si] {
+		if !need[numInputs+si] {
 			continue
 		}
-		a, okA := idMap[st.A]
-		bb, okB := idMap[st.B]
+		a, okA := mapped(st.A)
+		b, okB := mapped(st.B)
 		if !okA || !okB {
 			return nil, fmt.Errorf("resolution step %d references an unmapped clause", si)
 		}
-		idMap[int32(numInputs+si)] = b.addClauseStep(proof.Step{
+		premises[0], premises[1] = a, b
+		stepOf[numInputs+si] = uint32(len(steps))
+		steps = append(steps, proof.Step{
 			Rule:     proof.RuleResolve,
-			Premises: []uint32{a, bb},
+			Premises: premises[:2:2],
 			Pivot:    st.Pivot,
 		})
+		premises = premises[2:]
 	}
-	return b.proof(), nil
+	return &proof.Proof{Steps: steps}, nil
+}
+
+// neededClauses marks the clauses, inputs first and then derived ones,
+// that the refutation's final empty clause depends on. In a well-formed
+// refutation each step resolves earlier clauses only, so one backward
+// sweep marks them all. A step that references itself or a later step
+// is rejected by the translation anyway; such a later step is explored
+// from a stack at once, so the marked set, and with it the step the
+// rejection names, is exactly what a recursive walk would give.
+func neededClauses(rp *sat.Proof, numInputs int) []bool {
+	need := make([]bool, numInputs+len(rp.Steps))
+	need[len(need)-1] = true
+	var later []int
+	for si := len(rp.Steps) - 1; si >= 0; si-- {
+		if !need[numInputs+si] {
+			continue
+		}
+		for sj := si; ; {
+			st := rp.Steps[sj]
+			for _, id := range [2]int32{st.A, st.B} {
+				if id < 0 || int(id) >= len(need) || need[id] {
+					continue
+				}
+				need[id] = true
+				if int(id)-numInputs > si {
+					later = append(later, int(id)-numInputs)
+				}
+			}
+			if len(later) == 0 {
+				break
+			}
+			sj, later = later[len(later)-1], later[:len(later)-1]
+		}
+	}
+	return need
 }
