@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"bcf/internal/ebpf"
 )
@@ -127,5 +128,97 @@ func TestRefineBytesIndependentOfPathLength(t *testing.T) {
 	if math.Abs(long-short) > 256 {
 		t.Fatalf("a refinement round allocates %.0f B after a 2048-insn prefix but %.0f B after 64",
 			long, short)
+	}
+}
+
+// fullShard returns a verifier whose pc 0 holds maxExploredPerInsn
+// recorded states, none of which subsumes the returned state.
+func fullShard() (*Verifier, *VState) {
+	v := &Verifier{explored: make([]exploredShard, 1)}
+	rec := entryState()
+	defer releaseState(rec)
+	rec.setSlot(NumStackSlots-2, StackSlot{Kind: SlotZero})
+	for i := 0; i < maxExploredPerInsn; i++ {
+		rec.Regs[ebpf.R0] = constScalar(uint64(i))
+		rec.setSlot(NumStackSlots-1, StackSlot{Kind: SlotSpill, Spill: rec.Regs[ebpf.R0]})
+		if hit, _ := v.pruned(0, rec, &pathOrder{}); hit {
+			panic("distinct constants subsume each other")
+		}
+	}
+	st := rec.clone()
+	st.Regs[ebpf.R0] = constScalar(maxExploredPerInsn)
+	return v, st
+}
+
+// A pruning lookup that misses compares in place: no identity map, no
+// copy of either state.
+func TestPruneMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	v, st := fullShard()
+	defer v.releaseExplored()
+	order := &pathOrder{}
+	allocs := testing.AllocsPerRun(100, func() {
+		if hit, dead := v.pruned(0, st, order); hit || dead != nil {
+			t.Fatal("lookup against a full shard hit or recorded")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a missing lookup against a full shard allocates %.1f times, want 0", allocs)
+	}
+}
+
+// A clone into a recycled state of the same stack depth reuses the
+// recycled stack array.
+func TestCloneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := entryState()
+	defer releaseState(s)
+	for i := NumStackSlots - 8; i < NumStackSlots; i++ {
+		s.setSlot(i, StackSlot{Kind: SlotSpill, Spill: constScalar(uint64(i))})
+	}
+	releaseState(s.clone())
+	allocs := testing.AllocsPerRun(100, func() { releaseState(s.clone()) })
+	if allocs != 0 {
+		t.Fatalf("clone into a recycled state allocates %.1f times, want 0", allocs)
+	}
+}
+
+// forkLadder forks n times on an unknown context word; the path that
+// never jumps then reads below the frame.
+func forkLadder(n int) *ebpf.Program {
+	var b strings.Builder
+	b.WriteString("r2 = *(u32 *)(r1 +0)\nr0 = 0\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "if r2 == %d goto l%d\nl%d:\n", i, i, i)
+	}
+	b.WriteString("r0 = *(u64 *)(r10 -520)\nexit\n")
+	return mapProg(b.String())
+}
+
+// A run that stops at an error recycles the forks it never walked: the
+// bytes a rejected run allocates per pending fork (path nodes, order
+// coordinates, frontier growth) stay well under one VState.
+func TestRejectedRunRecyclesPendingForks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	bytes := func(forks int) float64 {
+		p := forkLadder(forks)
+		return bytesPerRun(20, func() {
+			if err := New(p, Config{}).Verify(); err == nil {
+				panic("a read below the frame was accepted")
+			}
+		})
+	}
+	perFork := (bytes(64) - bytes(32)) / 32
+	state := float64(unsafe.Sizeof(VState{}))
+	t.Logf("%.0f B per pending fork; a VState is %.0f B", perFork, state)
+	if perFork > state/2 {
+		t.Fatalf("a rejected run allocates %.0f B per pending fork: its state is not recycled", perFork)
 	}
 }

@@ -181,9 +181,9 @@ func markPtrOrNull(st *VState, id uint32, isNull bool) {
 	for i := range st.Regs {
 		fix(&st.Regs[i])
 	}
-	for i := range st.Stack {
-		if st.Stack[i].Kind == SlotSpill {
-			fix(&st.Stack[i].Spill)
+	for i := range st.stack {
+		if st.stack[i].Kind == SlotSpill {
+			fix(&st.stack[i].Spill)
 		}
 	}
 }
@@ -201,9 +201,9 @@ func syncLinked(st *VState, id uint32, src *RegState) {
 			*r = *src
 		}
 	}
-	for i := range st.Stack {
-		if st.Stack[i].Kind == SlotSpill {
-			r := &st.Stack[i].Spill
+	for i := range st.stack {
+		if st.stack[i].Kind == SlotSpill {
+			r := &st.stack[i].Spill
 			if r != src && r.Type == Scalar && r.ID == id {
 				*r = *src
 			}

@@ -25,9 +25,10 @@ import (
 //     candidates, and Verify reports the minimum-order candidate — the
 //     error the sequential DFS would have hit first.
 //
-// Cloned states share nothing mutable across workers: VState.clone is a
-// full value copy (no interior pointers), pathNode chains are immutable
-// after construction, and pushed branches get their own node.
+// Cloned states share nothing mutable across workers: VState.clone
+// copies the stack into the clone's own backing array (it is the only
+// legal way to copy a state), pathNode chains are immutable after
+// construction, and pushed branches get their own node.
 
 // pathOrder locates a branch item in sequential DFS order. The k-th
 // branch pushed during one walk gets seq k under that walk's coordinate;

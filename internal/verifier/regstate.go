@@ -11,6 +11,7 @@ package verifier
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"bcf/internal/ebpf"
@@ -368,42 +369,72 @@ const NumStackSlots = ebpf.StackSize / 8
 // comparisons). It is state-level, not per-register, because every packet
 // pointer on a path derives from the same ctx->data load: a range learned
 // for one applies to all.
+//
+// The stack holds only the slots down to the deepest one written, from
+// the frame top down (the kernel's allocated_stack): stack[j] is frame
+// slot NumStackSlots-1-j, and every slot below it reads as SlotInvalid.
+// Most programs touch a few slots, so forks, recordings and comparisons
+// handle those few instead of the whole 512-byte frame.
 type VState struct {
 	Regs     [ebpf.MaxReg]RegState
-	Stack    [NumStackSlots]StackSlot
 	PktRange uint32
+	stack    []StackSlot
 }
 
-// statePool recycles VStates: a path's state when its walk returns, and
-// the pruning table's recorded states when Verify returns.
+// slot returns frame slot i (0 is the deepest, NumStackSlots-1 the one
+// just below the frame pointer); unallocated slots read as SlotInvalid.
+func (s *VState) slot(i int) StackSlot {
+	if j := NumStackSlots - 1 - i; j >= 0 && j < len(s.stack) {
+		return s.stack[j]
+	}
+	return StackSlot{}
+}
+
+// setSlot stores frame slot i, growing the stack down to it. The slots
+// the growth uncovers are SlotInvalid, as they read before it.
+func (s *VState) setSlot(i int, v StackSlot) {
+	j := NumStackSlots - 1 - i
+	if n := len(s.stack); j >= n {
+		s.stack = slices.Grow(s.stack, j+1-n)[:j+1]
+		clear(s.stack[n:j])
+	}
+	s.stack[j] = v
+}
+
+// statePool recycles VStates: a path's state when its walk returns. A
+// recycled state keeps its stack's backing array for the next clone.
 var statePool = sync.Pool{New: func() any { return new(VState) }}
 
 // releaseState returns s to the pool; the caller must hold the only
 // reference.
 func releaseState(s *VState) { statePool.Put(s) }
 
-// clone deep-copies the state (arrays copy by value) into a recycled
-// VState.
+// clone deep-copies the state into a recycled VState.
 //
-// Memory-safety contract for parallel path exploration: VState holds
-// only fixed-size arrays of plain-value structs — no slices, maps or
-// pointers — so the value copy is a complete deep copy and a cloned
-// state shares nothing mutable with its origin. The copy overwrites the
-// whole recycled value, so nothing of its previous use survives. Branch
-// forks and explored-table recordings rely on this to hand states
-// across worker goroutines without further synchronization; any field
-// added to RegState or StackSlot must preserve it (or extend clone to
-// copy the referent).
+// Memory-safety contract for parallel path exploration: clone is the
+// only legal way to copy a VState. A plain `*a = *b` would alias the
+// stack's backing array, so a write on one path would show on the
+// other. clone copies the registers and PktRange by value and appends
+// the stack into the recycled state's own backing array, so a cloned
+// state shares nothing mutable with its origin, and the copy overwrites
+// every field, so nothing of the recycled state's previous use survives.
+// Branch forks rely on this to hand states across worker goroutines
+// without further synchronization; any field added to RegState or
+// StackSlot must be a plain value (or clone must copy the referent).
 func (s *VState) clone() *VState {
 	c := statePool.Get().(*VState)
-	*c = *s
+	c.Regs = s.Regs
+	c.PktRange = s.PktRange
+	c.stack = append(c.stack[:0], s.stack...)
 	return c
 }
 
 // entryState is the verifier state at program entry.
 func entryState() *VState {
 	s := statePool.Get().(*VState)
-	*s = VState{}
+	s.Regs = [ebpf.MaxReg]RegState{}
+	s.PktRange = 0
+	s.stack = s.stack[:0]
 	s.Regs[ebpf.R1] = RegState{Type: PtrToCtx}
 	s.Regs[ebpf.R1].zeroVar()
 	s.Regs[ebpf.R10] = RegState{Type: PtrToStack}

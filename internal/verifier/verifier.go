@@ -482,6 +482,11 @@ func (v *Verifier) verify() error {
 			err = v.walk(item, push)
 		}
 		if err != nil {
+			// The forks still pending are never walked: recycle their
+			// states, stack arrays included.
+			for _, it := range stack {
+				releaseState(it.st)
+			}
 			return err
 		}
 	}
@@ -492,7 +497,8 @@ func (v *Verifier) verify() error {
 // sides of branches to push. Each pushed child is stamped with a
 // pathOrder extending this walk's, so results stay in sequential DFS
 // order however the frontier schedules them. The path's state goes back
-// to the pool when walk returns: forks and pruning entries hold clones.
+// to the pool when walk returns: forks hold clones and pruning entries
+// compact copies.
 func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 	st, pc, node, obsTok := item.st, item.pc, item.node, item.obs
 	defer releaseState(st)
