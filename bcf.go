@@ -348,7 +348,7 @@ type RefinementDetail struct {
 	TrackLen   int
 	CondBytes  int
 	ProofBytes int
-	CheckNanos int64
+	CheckNanos int64 // the memo lookup only, if the kernel already checked this proof in the load
 	UserNanos  int64
 }
 

@@ -109,6 +109,7 @@ func TestCompareCommittedArtifacts(t *testing.T) {
 	cases := []struct{ artifact, rules string }{
 		{"../../BENCH_parallel_verifier.json", "../../.github/benchdiff/verifier.json"},
 		{"../../BENCH_remote_fleet.json", "../../.github/benchdiff/fleet.json"},
+		{"../../BENCH_perfbench.json", "../../.github/benchdiff/perfbench.json"},
 	}
 	for _, c := range cases {
 		var base map[string]any

@@ -1,6 +1,7 @@
 package bcf
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -29,9 +30,10 @@ type RequestStats struct {
 	BackwardLen   int           // instructions scanned backward
 	CondBytes     int           // encoded condition size
 	ProofBytes    int           // encoded proof size
-	CheckDuration time.Duration // kernel-side proof check time
+	CheckDuration time.Duration // kernel-side proof check time (on a memo hit, the lookup only)
 	UserDuration  time.Duration // user-space reasoning time
 	Tier          string        // which prover produced the proof (if reported)
+	MemoHit       bool          // the proof matched one already checked for this condition
 }
 
 // Stats aggregates refiner activity over one program load.
@@ -39,6 +41,7 @@ type Stats struct {
 	Requests  []RequestStats
 	Granted   int
 	Failed    int
+	MemoHits  int // rounds whose proof check the memo answered
 	UserTime  time.Duration
 	CheckTime time.Duration
 }
@@ -59,6 +62,28 @@ type Refiner struct {
 	Trace *obs.Tracer
 
 	stats Stats
+	// condKey is the kernel's own copy of the current round's condition
+	// encoding, taken before the encoding is handed to user space, which
+	// may rewrite that buffer before it returns a proof. checkProof keys
+	// the memo by it.
+	condKey []byte
+	// memo is the last condition whose proof passed the full check in
+	// this load (see checkProof). It lives and dies with the refiner, and
+	// so with its session.
+	memo memoEntry
+	// onCondition, when non-nil, sees each condition term next to its
+	// encoding (tests only).
+	onCondition func(cond *expr.Expr, condBytes []byte)
+}
+
+// memoEntry is a condition encoding, a proof of it that passed the full
+// check and the limits it passed under, all kernel-owned copies; held
+// is false until the first check succeeds.
+type memoEntry struct {
+	held   bool
+	cond   []byte
+	proof  []byte
+	limits proof.Limits
 }
 
 // NewRefiner returns a refiner delegating to the given service.
@@ -205,6 +230,10 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, req *verifier.RefineReq
 	if err != nil {
 		return fmt.Errorf("bcf: encoding condition: %w", err)
 	}
+	if r.onCondition != nil {
+		r.onCondition(cond, condBytes)
+	}
+	r.condKey = append(r.condKey[:0], condBytes...)
 
 	// The round span covers the whole kernel→user→kernel round trip:
 	// wire transfer, loader work and prover time, as seen from the
@@ -234,14 +263,15 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, req *verifier.RefineReq
 
 	csp := r.Trace.Start(obs.CatCheck, "check")
 	checkStart := time.Now()
-	pf, err := bcfenc.DecodeProof(proofBytes)
-	if err == nil {
-		err = proof.CheckWithLimits(cond, pf, r.Limits)
-	}
+	rs.MemoHit, err = r.checkProof(cond, proofBytes)
 	rs.CheckDuration = time.Since(checkStart)
 	csp.End()
 	if r.Obs != nil {
 		r.Obs.StageHistogram(obs.MCheckSeconds).ObserveDuration(rs.CheckDuration)
+	}
+	if rs.MemoHit {
+		r.stats.MemoHits++
+		r.Obs.Counter(obs.MProofMemoHits).Inc()
 	}
 	rs.ProofBytes = len(proofBytes)
 	r.stats.CheckTime += rs.CheckDuration
@@ -251,4 +281,44 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, req *verifier.RefineReq
 			fmt.Errorf("bcf: proof rejected: %w", err))
 	}
 	return nil
+}
+
+// checkProof decodes proofBytes and checks that it establishes cond,
+// whose encoding is r.condKey, unless the memo holds exactly these proof
+// bytes for exactly this condition under the same limits; hit reports
+// that the memo answered. r.condKey holds bytes user space never saw:
+// were the key the buffer handed to user space, user space could
+// rewrite a condition into one the memo holds.
+//
+// A hit is sound because it repeats a check that succeeded. The check is
+// a pure function of the condition term, the proof bytes and the limits,
+// and EncodeCondition is injective on well-formed terms: a node header
+// packs the 8-bit op, width and aux and the argument count without loss,
+// constants carry all 64 bits, variables their 32-bit id, and references
+// point only backwards, so equal condition bytes mean an equal condition.
+// The memo is filled only after the full decode and check succeed, so
+// nothing untrusted is cached, and a corrupted or different proof is a
+// miss that is checked in full. It holds one pair, because a load that
+// repeats conditions (a loop refining the same check on every
+// iteration) repeats the last one. It needs no lock: the verifier
+// serialises refinement requests at any ParallelPaths.
+func (r *Refiner) checkProof(cond *expr.Expr, proofBytes []byte) (hit bool, err error) {
+	m := &r.memo
+	if m.held && m.limits == r.Limits && bytes.Equal(m.cond, r.condKey) && bytes.Equal(m.proof, proofBytes) {
+		return true, nil
+	}
+	pf, err := bcfenc.DecodeProof(proofBytes)
+	if err == nil {
+		err = proof.CheckWithLimits(cond, pf, r.Limits)
+	}
+	if err != nil {
+		return false, err
+	}
+	m.held = true
+	// The checked key becomes the memo's; the memo's old buffer takes
+	// the next round's key.
+	m.cond, r.condKey = r.condKey, m.cond
+	m.proof = append(m.proof[:0], proofBytes...)
+	m.limits = r.Limits
+	return false, nil
 }

@@ -28,6 +28,9 @@ func TestConditionRoundTrip(t *testing.T) {
 			),
 		),
 		expr.Eq(expr.Ashr(expr.Var(2, 64), expr.Const(31, 64)), expr.Const(0, 64)),
+		// Every field the encoding must carry without loss: all 64 bits
+		// of a constant, a 32-bit variable id.
+		expr.Ule(expr.Var(0xfffffffe, 64), expr.Const(1<<63|1<<32|7, 64)),
 	}
 	for i, c := range conds {
 		buf, err := EncodeCondition(&Condition{Cond: c})
@@ -40,6 +43,9 @@ func TestConditionRoundTrip(t *testing.T) {
 		}
 		if !expr.Equal(back.Cond, c) {
 			t.Fatalf("cond %d: roundtrip changed term:\n got %s\nwant %s", i, back.Cond, c)
+		}
+		if again, err := EncodeCondition(back); err != nil || string(again) != string(buf) {
+			t.Fatalf("cond %d: the decoded term re-encodes differently (err %v)", i, err)
 		}
 	}
 }

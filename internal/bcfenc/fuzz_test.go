@@ -94,6 +94,12 @@ func FuzzDecodeCondition(f *testing.F) {
 		if !expr.Equal(back.Cond, c.Cond) {
 			t.Fatal("round trip changed the condition")
 		}
+		// The encoding is canonical: an equal term encodes to the same
+		// bytes. The kernel's proof-check memo keys on these bytes.
+		again, err := EncodeCondition(back)
+		if err != nil || string(again) != string(re) {
+			t.Fatalf("re-encoding the round-tripped condition gave different bytes (err %v)", err)
+		}
 	})
 }
 

@@ -18,7 +18,7 @@ const (
 	MProveSeconds         = "bcf_prove_seconds"          // whole solver.Prove call (tiers included)
 	MProveRewriteSeconds  = "bcf_prove_rewrite_seconds"  // tier 1: rewrite/lemma engine
 	MProveBitblastSeconds = "bcf_prove_bitblast_seconds" // tier 2: bit-blast + SAT
-	MCheckSeconds         = "bcf_check_seconds"          // kernel-side proof decode + check
+	MCheckSeconds         = "bcf_check_seconds"          // kernel-side proof decode + check (a memo hit: the lookup only)
 	MWireSeconds          = "bcf_wire_seconds"           // boundary handoff (cond out / proof in)
 
 	// Wire traffic histograms.
@@ -41,6 +41,7 @@ const (
 	MCacheHits          = "bcf_proof_cache_hits_total"
 	MCacheMisses        = "bcf_proof_cache_misses_total"
 	MCacheCoalesced     = "bcf_proof_cache_coalesced_total" // singleflight piggybacks
+	MProofMemoHits      = "bcf_proof_memo_hits_total"       // kernel proof checks answered by the session's memo
 
 	// Remote proving, client side (proofrpc.Client + loader fallback).
 	MRemoteProofs       = "bcf_remote_proofs_total"             // obligations proven by the daemon
